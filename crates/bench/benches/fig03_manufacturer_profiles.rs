@@ -9,7 +9,9 @@
 use beer_bench::{ascii_heatmap, banner, CsvArtifact, Scale};
 use beer_core::collect::{ChipKnowledge, CollectionPlan};
 use beer_core::pattern::PatternSet;
-use beer_core::{collect_with, ChipBackend, EngineOptions, MiscorrectionProfile, ThresholdFilter};
+use beer_core::{
+    try_collect_with, ChipBackend, EngineOptions, MiscorrectionProfile, ThresholdFilter,
+};
 use beer_dram::{CellType, ChipConfig, DramInterface, Geometry, SimChip};
 use beer_ecc::design::Manufacturer;
 
@@ -34,12 +36,13 @@ fn profile_chip(
     );
     let patterns = PatternSet::One.patterns(chip.k());
     let mut backend = ChipBackend::new(Box::new(chip), knowledge);
-    collect_with(
+    try_collect_with(
         &mut backend,
         &patterns,
         &CollectionPlan::quick(),
         &EngineOptions::default(),
     )
+    .expect("simulated chips cannot fail collection")
 }
 
 fn main() {

@@ -10,7 +10,7 @@
 use beer_bench::{banner, CsvArtifact, Scale};
 use beer_core::collect::{ChipKnowledge, CollectionPlan};
 use beer_core::pattern::PatternSet;
-use beer_core::{collect_with, ChipBackend, EngineOptions};
+use beer_core::{try_collect_with, ChipBackend, EngineOptions};
 use beer_dram::{
     CellType, ChipConfig, DramInterface, Geometry, RetentionModel, SimChip, TransientNoise,
 };
@@ -53,7 +53,8 @@ fn main() {
             celsius: 80.0,
             trials_per_step: scale.pick(4, 8),
         };
-        let profile = collect_with(&mut backend, &patterns, &plan, &EngineOptions::default());
+        let profile = try_collect_with(&mut backend, &patterns, &plan, &EngineOptions::default())
+            .expect("simulated chips cannot fail collection");
         let mass = profile.per_bit_probability_mass();
         for (bit, &m) in mass.iter().enumerate() {
             per_bit_samples[bit].push(m);

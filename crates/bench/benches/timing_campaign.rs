@@ -19,7 +19,7 @@
 use beer_bench::{banner, CsvArtifact, Scale};
 use beer_core::collect::{ChipKnowledge, CollectionPlan};
 use beer_core::{
-    PatternSchedule, PatternSet, RecoveryConfig, ThresholdFilter, TimedChipBackend, TimedCostModel,
+    ChipBackend, PatternSchedule, PatternSet, RecoveryConfig, ThresholdFilter, TimedCostModel,
 };
 use beer_dram::{CellType, ChipConfig, DramInterface, Geometry, SimChip};
 use beer_ecc::equivalence::equivalent;
@@ -59,8 +59,7 @@ fn run_campaign(plan: &CollectionPlan, schedule: PatternSchedule) -> (usize, u64
         CellType::True,
         c.geometry().total_rows(),
     );
-    let mut backend =
-        TimedChipBackend::with_params(Box::new(c), knowledge, TimingParams::ddr4_3200());
+    let mut backend = ChipBackend::with_params(Box::new(c), knowledge, TimingParams::ddr4_3200());
     // The simulator is noise-free: one observation is a real
     // miscorrection, and silence at this sampling depth is real absence.
     let report = RecoveryConfig::new()

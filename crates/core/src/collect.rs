@@ -1,14 +1,16 @@
-//! Experimental miscorrection-profile collection (paper §5.1).
+//! The inputs of experimental miscorrection-profile collection (paper
+//! §5.1): what the experimenter knows about a chip ([`ChipKnowledge`]) and
+//! the refresh-window sweep to run ([`CollectionPlan`]).
 //!
-//! Drives any [`DramInterface`]: programs every ECC word with a test
-//! pattern (an equal share of words per pattern, rotated across trials so
-//! each pattern samples many different words), pauses refresh across a
-//! sweep of windows, and records every unambiguous miscorrection — a
-//! post-correction error at a DISCHARGED data bit.
+//! [`crate::engine::ChipBackend`] runs the experiment over any
+//! [`DramInterface`]: it programs every ECC word with a test pattern (an
+//! equal share of words per pattern, rotated across trials so each pattern
+//! samples many different words), pauses refresh across the sweep, and
+//! records every unambiguous miscorrection — a post-correction error at a
+//! DISCHARGED data bit.
 
 use crate::layout_probe;
 use crate::pattern::ChargedSet;
-use crate::profile::MiscorrectionProfile;
 use beer_dram::{CellType, DramInterface, WordLayout};
 use beer_gf2::BitVec;
 
@@ -128,53 +130,6 @@ impl CollectionPlan {
     }
 }
 
-/// Runs the full §5.1 experiment: returns the accumulated miscorrection
-/// profile for `patterns`.
-///
-/// Only **true-cell** words are profiled, exactly as the paper does
-/// ("the data is taken from the true-cell regions", §5.1.3): in anti-cell
-/// words the encoder charges the *complement* of the parity pattern, so
-/// the 1-CHARGED reasoning about reachable syndromes does not transfer.
-/// Anti-cell words are programmed with a fully data-DISCHARGED background
-/// and ignored.
-///
-/// # Panics
-///
-/// Panics if `patterns` is empty, their dataword lengths differ, the
-/// dataword length disagrees with the known word layout, or the chip has
-/// no true-cell words at all.
-pub fn collect_profile(
-    chip: &mut dyn DramInterface,
-    knowledge: &ChipKnowledge,
-    patterns: &[ChargedSet],
-    plan: &CollectionPlan,
-) -> MiscorrectionProfile {
-    let k = validate_patterns(patterns);
-    assert_eq!(
-        knowledge.word_layout.word_bytes() * 8,
-        k,
-        "pattern length does not match the chip's dataword size"
-    );
-
-    let mut profile = MiscorrectionProfile::new(k, patterns.to_vec());
-    chip.set_temperature(plan.celsius);
-    // Resume from the chip's current trial counter so back-to-back
-    // collections on one chip draw independent transient-noise samples.
-    let trial_base = chip.trial_counter();
-    for unit in 0..plan.num_trials() {
-        run_collection_trial(
-            chip,
-            knowledge,
-            patterns,
-            plan,
-            unit,
-            trial_base,
-            &mut profile,
-        );
-    }
-    profile
-}
-
 /// Validates a pattern list and returns its common dataword length.
 ///
 /// # Panics
@@ -187,103 +142,6 @@ pub(crate) fn validate_patterns(patterns: &[ChargedSet]) -> usize {
         assert_eq!(p.k(), k, "patterns of differing dataword lengths");
     }
     k
-}
-
-/// Runs one retention trial — the engine's unit of work: program every word,
-/// pause refresh for the unit's scheduled window, read back, and record
-/// every unambiguous miscorrection into `profile`.
-///
-/// `unit` indexes the plan's flattened (refresh-window × trial) grid; it
-/// doubles as the pattern-assignment rotation and, offset by `trial_base`,
-/// the chip's trial-counter position — so any scheduling order (serial
-/// sweep or sharded workers) produces bit-identical observations, while
-/// distinct collections (different bases) draw independent noise.
-///
-/// # Panics
-///
-/// Panics if `unit` is out of range or the chip has no true-cell words.
-pub(crate) fn run_collection_trial(
-    chip: &mut dyn DramInterface,
-    knowledge: &ChipKnowledge,
-    patterns: &[ChargedSet],
-    plan: &CollectionPlan,
-    unit: usize,
-    trial_base: u64,
-    profile: &mut MiscorrectionProfile,
-) {
-    let trefw = plan.trefw_schedule[unit / plan.trials_per_step];
-    run_collection_trial_windowed(chip, knowledge, patterns, trefw, unit, trial_base, profile);
-}
-
-/// [`run_collection_trial`] with the refresh window supplied by the caller
-/// instead of looked up in a plan — the hook for timed backends, where the
-/// window that actually elapsed *emerges* from an executed command stream
-/// (cycle-quantized, see `beer_timing`) rather than being read off a
-/// schedule.
-///
-/// # Panics
-///
-/// The conditions of [`run_collection_trial`].
-pub(crate) fn run_collection_trial_windowed(
-    chip: &mut dyn DramInterface,
-    knowledge: &ChipKnowledge,
-    patterns: &[ChargedSet],
-    trefw: f64,
-    unit: usize,
-    trial_base: u64,
-    profile: &mut MiscorrectionProfile,
-) {
-    let k = patterns[0].k();
-    let rotation = unit;
-    let num_words = knowledge.num_words(chip);
-    let total_bytes = chip.geometry().total_bytes();
-
-    // Profile only true-cell words (see the `collect_profile` docs).
-    let true_words: Vec<usize> = (0..num_words)
-        .filter(|&w| knowledge.cell_type_of_word(chip, w) == CellType::True)
-        .collect();
-    assert!(
-        !true_words.is_empty(),
-        "chip has no true-cell words; BEER's test patterns need true-cell regions"
-    );
-    let anti_background = BitVec::ones(k); // data cells DISCHARGED in anti words
-
-    // Program every word: anti words get the discharged background, each
-    // true word its rotation-assigned pattern.
-    let mut image = vec![0u8; total_bytes];
-    for word in 0..num_words {
-        if knowledge.cell_type_of_word(chip, word) == CellType::Anti {
-            write_word_into_image(&mut image, &knowledge.word_layout, word, &anti_background);
-        }
-    }
-    let mut assigned: Vec<usize> = Vec::with_capacity(true_words.len());
-    for (idx, &word) in true_words.iter().enumerate() {
-        let pi = (idx + rotation) % patterns.len();
-        assigned.push(pi);
-        let data = patterns[pi].to_dataword(CellType::True);
-        write_word_into_image(&mut image, &knowledge.word_layout, word, &data);
-    }
-    chip.write_bytes(0, &image);
-
-    chip.seek_trial(trial_base + unit as u64);
-    chip.retention_test(trefw);
-
-    let read = chip.read_bytes(0, total_bytes);
-    for (idx, &word) in true_words.iter().enumerate() {
-        let pi = assigned[idx];
-        let written = patterns[pi].to_dataword(CellType::True);
-        let observed = read_word_from_image(&read, &knowledge.word_layout, word, k);
-        if observed != written {
-            for j in 0..k {
-                if observed.get(j) != written.get(j) && !patterns[pi].is_charged(j) {
-                    // An error at a DISCHARGED bit: unambiguously a
-                    // miscorrection (§4.2.2).
-                    profile.record_miscorrection(pi, j);
-                }
-            }
-        }
-        profile.record_trials(pi, 1);
-    }
 }
 
 /// Serializes a dataword into the chip image at its mapped addresses.
@@ -329,20 +187,31 @@ pub(crate) fn read_word_from_image(
 mod tests {
     use super::*;
     use crate::analytic::analytic_profile;
+    use crate::engine::{try_collect_with, ChipBackend, EngineOptions};
     use crate::pattern::PatternSet;
-    use crate::profile::ThresholdFilter;
+    use crate::profile::{MiscorrectionProfile, ProfileConstraints, ThresholdFilter};
     use beer_dram::{ChipConfig, Geometry, SimChip};
 
-    fn quick_chip(seed: u64) -> SimChip {
-        SimChip::new(ChipConfig::small_test_chip(seed).with_geometry(Geometry::new(1, 128, 128)))
-    }
-
-    fn knowledge_for(chip: &SimChip) -> ChipKnowledge {
-        ChipKnowledge::uniform(
+    /// Collects `patterns` from a fresh quick chip, returning the profile
+    /// and the chip's ground-truth analytic profile.
+    fn collect_quick(
+        seed: u64,
+        patterns: &[ChargedSet],
+    ) -> (MiscorrectionProfile, ProfileConstraints) {
+        let chip = SimChip::new(
+            ChipConfig::small_test_chip(seed).with_geometry(Geometry::new(1, 128, 128)),
+        );
+        let truth = analytic_profile(chip.reveal_code(), patterns);
+        let knowledge = ChipKnowledge::uniform(
             chip.config().word_layout,
             CellType::True,
             chip.geometry().total_rows(),
-        )
+        );
+        let mut backend = ChipBackend::new(Box::new(chip), knowledge);
+        let plan = CollectionPlan::quick();
+        let profile = try_collect_with(&mut backend, patterns, &plan, &EngineOptions::serial())
+            .expect("simulated chips cannot fail collection");
+        (profile, truth)
     }
 
     #[test]
@@ -360,13 +229,8 @@ mod tests {
     fn collected_profile_is_subset_of_analytic() {
         // Every experimentally observed miscorrection must be analytically
         // possible for the chip's true code.
-        let mut chip = quick_chip(31);
-        let knowledge = knowledge_for(&chip);
         let patterns = PatternSet::One.patterns(32);
-        let plan = CollectionPlan::quick();
-        let profile = collect_profile(&mut chip, &knowledge, &patterns, &plan);
-
-        let truth = analytic_profile(chip.reveal_code(), &patterns);
+        let (profile, truth) = collect_quick(31, &patterns);
         for (pi, (pattern, obs)) in truth.entries.iter().enumerate() {
             for (j, &o) in obs.iter().enumerate() {
                 if profile.count(pi, j) > 0 {
@@ -382,10 +246,8 @@ mod tests {
 
     #[test]
     fn collection_observes_many_real_miscorrections() {
-        let mut chip = quick_chip(32);
-        let knowledge = knowledge_for(&chip);
         let patterns = PatternSet::One.patterns(32);
-        let profile = collect_profile(&mut chip, &knowledge, &patterns, &CollectionPlan::quick());
+        let (profile, _) = collect_quick(32, &patterns);
         let total: u64 = profile.per_bit_totals().iter().sum();
         assert!(
             total > 50,
@@ -399,12 +261,9 @@ mod tests {
 
     #[test]
     fn thresholded_collection_has_no_false_positives() {
-        let mut chip = quick_chip(33);
-        let knowledge = knowledge_for(&chip);
         let patterns = PatternSet::One.patterns(32);
-        let profile = collect_profile(&mut chip, &knowledge, &patterns, &CollectionPlan::quick());
+        let (profile, truth) = collect_quick(33, &patterns);
         let constraints = profile.to_constraints(&ThresholdFilter::default());
-        let truth = analytic_profile(chip.reveal_code(), &patterns);
         // No definite observation may contradict the ground truth in the
         // Miscorrection direction (missing observations are fine).
         for (pattern, bit) in constraints.disagreements(&truth) {

@@ -27,16 +27,22 @@
 //!   checkpointing. [`crate::recovery::RecoverySession`] is the high-level
 //!   driver over all of this.
 
-use crate::collect::{run_collection_trial, validate_patterns, ChipKnowledge, CollectionPlan};
+use crate::collect::{
+    read_word_from_image, validate_patterns, write_word_into_image, ChipKnowledge, CollectionPlan,
+};
 use crate::pattern::ChargedSet;
 use crate::profile::MiscorrectionProfile;
 use crate::trace::UnitTrace;
 use beer_dram::{CellType, DramInterface};
 use beer_ecc::{miscorrection, LinearCode};
 use beer_einsim::{simulate, ErrorModel, SimConfig};
+use beer_gf2::BitVec;
+use beer_timing::{execute_trial, ArrayGeometry, MemController, TimingParams};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A typed error from the collection engine.
 ///
@@ -147,7 +153,7 @@ pub trait ProfileSource {
     ) -> Result<(), EngineError>;
 
     /// An independent handle for a parallel worker, if the source supports
-    /// one. Returning `None` (the default) makes [`collect_with`] fall back
+    /// one. Returning `None` (the default) makes [`try_collect_with`] fall back
     /// to serial collection.
     fn fork(&self) -> Option<Box<dyn ProfileSource + Send>> {
         None
@@ -177,14 +183,15 @@ pub trait ProfileSource {
     /// Cumulative *simulated* DRAM nanoseconds this source has executed, if
     /// it models time at all. This is a meter of work already performed —
     /// never a side-effect-free cost query — so reading it cannot disagree
-    /// with execution. Timed backends (see `TimedChipBackend`) share one
-    /// meter across forks; untimed backends return `None` (the default).
+    /// with execution. Clocked chip backends
+    /// ([`ChipBackend::with_params`]) share one meter across forks;
+    /// untimed backends return `None` (the default).
     fn sim_elapsed_ns(&self) -> Option<u64> {
         None
     }
 }
 
-/// Execution options for [`collect_with`].
+/// Execution options for [`try_collect_with`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineOptions {
     /// Worker threads: `0` uses the machine's available parallelism.
@@ -423,35 +430,40 @@ pub fn try_collect_traced(
     collect_inner(source, patterns, plan, options, true, None).map(|c| (c.profile, c.units))
 }
 
-/// The panicking form of [`try_collect_with`] — the original low-level
-/// entry point, kept for direct engine experiments. New code should prefer
-/// [`crate::recovery::RecoverySession`], which drives collection and
-/// solving end to end with typed errors.
-///
-/// # Panics
-///
-/// Panics under the error conditions of [`try_collect_with`], in addition
-/// to its panic conditions.
-pub fn collect_with(
-    source: &mut dyn ProfileSource,
-    patterns: &[ChargedSet],
-    plan: &CollectionPlan,
-    options: &EngineOptions,
-) -> MiscorrectionProfile {
-    try_collect_with(source, patterns, plan, options)
-        .unwrap_or_else(|e| panic!("collection failed: {e}"))
-}
-
 // ---------------------------------------------------------------------------
 // Chip backend
 // ---------------------------------------------------------------------------
 
 /// A [`ProfileSource`] driving a DRAM chip through
 /// [`beer_dram::DramInterface`] — the §5.1 experimental methodology. One
-/// unit is one retention trial of the plan's refresh-window sweep.
+/// unit is one retention trial of the plan's refresh-window sweep: program
+/// every word, pause refresh, read back, and record every unambiguous
+/// miscorrection.
+///
+/// Only **true-cell** words are profiled, exactly as the paper does ("the
+/// data is taken from the true-cell regions", §5.1.3): in anti-cell words
+/// the encoder charges the *complement* of the parity pattern, so the
+/// 1-CHARGED reasoning about reachable syndromes does not transfer.
+/// Anti-cell words are programmed with a fully data-DISCHARGED background
+/// and ignored.
+///
+/// [`ChipBackend::with_params`] adds a controller clock: every trial then
+/// executes through a cycle-accurate `beer_timing::MemController` (program
+/// sweep, refresh-paused decay, readback sweep), the trial's error profile
+/// sees the **emergent** refresh window — the simulated time the command
+/// stream actually spent with refresh paused, cycle-quantized — and the
+/// backend meters cumulative simulated time
+/// ([`ProfileSource::sim_elapsed_ns`]), which recovery sessions thread onto
+/// `RecoveryEvent::CheckCompleted`, `RecoveryStats::dram_sim_ns`, and
+/// `SolveReport::sim_ns`. Timing changes a campaign's cost, never its
+/// facts. [`crate::recovery::TimedCostModel`] prices a round by executing
+/// the same streams, so estimate and meter agree exactly.
 ///
 /// Forking requires the chip to support [`DramInterface::fork`] (simulated
-/// chips do; physical chips run serially).
+/// chips do; physical chips run serially). Forks share one simulated-time
+/// meter, and each clocked unit executes on a *fresh* controller from
+/// power-up state, so a unit's simulated cost is independent of scheduling
+/// order — parallel collection accrues exactly the serial total.
 pub struct ChipBackend {
     chip: Box<dyn DramInterface + Send>,
     knowledge: ChipKnowledge,
@@ -459,17 +471,54 @@ pub struct ChipBackend {
     /// `trial_base + unit`, and `finish_collection` advances the base so
     /// successive collections draw independent transient-noise samples.
     trial_base: u64,
+    /// The controller clock trials execute under, if any.
+    clock: Option<Clock>,
+}
+
+/// A [`ChipBackend`]'s controller clock: the speed bin, the array shape
+/// trials sweep, and the simulated-time meter shared across forks.
+#[derive(Clone)]
+struct Clock {
+    params: TimingParams,
+    geom: ArrayGeometry,
+    sim_ns: Arc<AtomicU64>,
 }
 
 impl ChipBackend {
     /// Wraps a chip and the experimenter's knowledge about it, resuming
-    /// the noise stream from the chip's current trial counter.
+    /// the noise stream from the chip's current trial counter. Trials
+    /// model no time.
     pub fn new(chip: Box<dyn DramInterface + Send>, knowledge: ChipKnowledge) -> Self {
         let trial_base = chip.trial_counter();
         ChipBackend {
             chip,
             knowledge,
             trial_base,
+            clock: None,
+        }
+    }
+
+    /// Wraps a chip like [`ChipBackend::new`], executing every trial
+    /// through a cycle-accurate controller under the speed bin `params`
+    /// (see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` is not a valid speed bin.
+    pub fn with_params(
+        chip: Box<dyn DramInterface + Send>,
+        knowledge: ChipKnowledge,
+        params: TimingParams,
+    ) -> Self {
+        params.validate();
+        let geom = ArrayGeometry::of_chip(&chip.geometry());
+        ChipBackend {
+            clock: Some(Clock {
+                params,
+                geom,
+                sim_ns: Arc::new(AtomicU64::new(0)),
+            }),
+            ..ChipBackend::new(chip, knowledge)
         }
     }
 
@@ -505,11 +554,26 @@ impl ProfileSource for ChipBackend {
         profile: &mut MiscorrectionProfile,
     ) -> Result<(), EngineError> {
         self.chip.set_temperature(plan.celsius);
+        let mut trefw = plan.trefw_schedule[unit / plan.trials_per_step];
+        if let Some(clock) = &self.clock {
+            // A fresh controller per unit: the unit's simulated cost depends
+            // only on (params, geometry, window), never on which worker ran
+            // the units before it.
+            let mut ctrl = MemController::new(clock.params, clock.geom.banks);
+            let cost =
+                execute_trial(&mut ctrl, &clock.geom, trefw).map_err(|e| EngineError::Backend {
+                    backend: self.label(),
+                    message: e.to_string(),
+                })?;
+            clock.sim_ns.fetch_add(cost.total_ns(), Ordering::Relaxed);
+            // The trial decays for the window the command stream spent.
+            trefw = cost.window_seconds;
+        }
         run_collection_trial(
             self.chip.as_mut(),
             &self.knowledge,
             patterns,
-            plan,
+            trefw,
             unit,
             self.trial_base,
             profile,
@@ -523,6 +587,7 @@ impl ProfileSource for ChipBackend {
             chip,
             knowledge: self.knowledge.clone(),
             trial_base: self.trial_base,
+            clock: self.clock.clone(),
         }))
     }
 
@@ -543,6 +608,87 @@ impl ProfileSource for ChipBackend {
         // Keep the wrapped chip's own counter in step, so interleaving
         // engine collections with direct chip driving stays independent.
         self.chip.seek_trial(self.trial_base);
+    }
+
+    fn sim_elapsed_ns(&self) -> Option<u64> {
+        self.clock
+            .as_ref()
+            .map(|clock| clock.sim_ns.load(Ordering::Relaxed))
+    }
+}
+
+/// Runs one retention trial with refresh paused for `trefw` seconds: program
+/// every word, pause refresh, read back, and record every unambiguous
+/// miscorrection into `profile`.
+///
+/// `unit` indexes the plan's flattened (refresh-window × trial) grid; it
+/// doubles as the pattern-assignment rotation and, offset by `trial_base`,
+/// the chip's trial-counter position — so any scheduling order
+/// (serial sweep or sharded workers) produces bit-identical observations,
+/// while distinct collections (different bases) draw independent noise.
+///
+/// # Panics
+///
+/// Panics if the chip has no true-cell words.
+fn run_collection_trial(
+    chip: &mut dyn DramInterface,
+    knowledge: &ChipKnowledge,
+    patterns: &[ChargedSet],
+    trefw: f64,
+    unit: usize,
+    trial_base: u64,
+    profile: &mut MiscorrectionProfile,
+) {
+    let k = patterns[0].k();
+    let rotation = unit;
+    let num_words = knowledge.num_words(chip);
+    let total_bytes = chip.geometry().total_bytes();
+
+    // Profile only true-cell words (see the `ChipBackend` docs).
+    let true_words: Vec<usize> = (0..num_words)
+        .filter(|&w| knowledge.cell_type_of_word(chip, w) == CellType::True)
+        .collect();
+    assert!(
+        !true_words.is_empty(),
+        "chip has no true-cell words; BEER's test patterns need true-cell regions"
+    );
+    let anti_background = BitVec::ones(k); // data cells DISCHARGED in anti words
+
+    // Program every word: anti words get the discharged background, each
+    // true word its rotation-assigned pattern.
+    let mut image = vec![0u8; total_bytes];
+    for word in 0..num_words {
+        if knowledge.cell_type_of_word(chip, word) == CellType::Anti {
+            write_word_into_image(&mut image, &knowledge.word_layout, word, &anti_background);
+        }
+    }
+    let mut assigned: Vec<usize> = Vec::with_capacity(true_words.len());
+    for (idx, &word) in true_words.iter().enumerate() {
+        let pi = (idx + rotation) % patterns.len();
+        assigned.push(pi);
+        let data = patterns[pi].to_dataword(CellType::True);
+        write_word_into_image(&mut image, &knowledge.word_layout, word, &data);
+    }
+    chip.write_bytes(0, &image);
+
+    chip.seek_trial(trial_base + unit as u64);
+    chip.retention_test(trefw);
+
+    let read = chip.read_bytes(0, total_bytes);
+    for (idx, &word) in true_words.iter().enumerate() {
+        let pi = assigned[idx];
+        let written = patterns[pi].to_dataword(CellType::True);
+        let observed = read_word_from_image(&read, &knowledge.word_layout, word, k);
+        if observed != written {
+            for j in 0..k {
+                if observed.get(j) != written.get(j) && !patterns[pi].is_charged(j) {
+                    // An error at a DISCHARGED bit: unambiguously a
+                    // miscorrection (§4.2.2).
+                    profile.record_miscorrection(pi, j);
+                }
+            }
+        }
+        profile.record_trials(pi, 1);
     }
 }
 
@@ -725,45 +871,152 @@ mod tests {
     use crate::analytic::analytic_profile;
     use crate::pattern::PatternSet;
     use crate::profile::ThresholdFilter;
-    use beer_dram::{ChipConfig, Geometry, SimChip};
+    use crate::recovery::{ScheduleCostModel, TimedCostModel};
+    use beer_dram::{ChipConfig, Geometry, SimChip, TransientNoise};
 
-    fn small_chip_backend(seed: u64) -> (ChipBackend, LinearCode) {
-        let chip = SimChip::new(
-            ChipConfig::small_test_chip(seed).with_geometry(Geometry::new(1, 128, 128)),
-        );
-        let secret = chip.reveal_code().clone();
-        let knowledge = ChipKnowledge::uniform(
+    fn chip(seed: u64) -> SimChip {
+        SimChip::new(ChipConfig::small_test_chip(seed).with_geometry(Geometry::new(1, 128, 128)))
+    }
+
+    fn knowledge_for(chip: &SimChip) -> ChipKnowledge {
+        ChipKnowledge::uniform(
             chip.config().word_layout,
             CellType::True,
             chip.geometry().total_rows(),
-        );
+        )
+    }
+
+    fn small_chip_backend(seed: u64) -> (ChipBackend, LinearCode) {
+        let chip = chip(seed);
+        let secret = chip.reveal_code().clone();
+        let knowledge = knowledge_for(&chip);
         (ChipBackend::new(Box::new(chip), knowledge), secret)
     }
 
+    /// A chip backend under the DDR4-3200 controller clock.
+    fn timed_backend(chip: SimChip) -> ChipBackend {
+        let knowledge = knowledge_for(&chip);
+        ChipBackend::with_params(Box::new(chip), knowledge, TimingParams::ddr4_3200())
+    }
+
+    fn collect(
+        source: &mut dyn ProfileSource,
+        patterns: &[ChargedSet],
+        plan: &CollectionPlan,
+        threads: usize,
+    ) -> MiscorrectionProfile {
+        try_collect_with(
+            source,
+            patterns,
+            plan,
+            &EngineOptions::with_threads(threads),
+        )
+        .expect("in-memory backends cannot fail collection")
+    }
+
+    /// Raw per-(pattern, bit) counts plus per-pattern trials — the full
+    /// observable content of a profile, for bit-identity assertions.
+    fn raw_counts(profile: &MiscorrectionProfile) -> Vec<Vec<u64>> {
+        (0..profile.patterns().len())
+            .map(|pi| {
+                let mut row: Vec<u64> = (0..profile.k()).map(|j| profile.count(pi, j)).collect();
+                row.push(profile.trials(pi));
+                row
+            })
+            .collect()
+    }
+
     #[test]
-    fn chip_backend_matches_legacy_collect_profile() {
+    fn timed_profile_matches_untimed_backend() {
         let patterns = PatternSet::One.patterns(32);
         let plan = CollectionPlan::quick();
 
-        let legacy = {
-            let mut chip = SimChip::new(
-                ChipConfig::small_test_chip(91).with_geometry(Geometry::new(1, 128, 128)),
-            );
-            let knowledge = ChipKnowledge::uniform(
-                chip.config().word_layout,
-                CellType::True,
-                chip.geometry().total_rows(),
-            );
-            crate::collect::collect_profile(&mut chip, &knowledge, &patterns, &plan)
-        };
-        let (mut backend, _) = small_chip_backend(91);
-        let engine = collect_with(&mut backend, &patterns, &plan, &EngineOptions::serial());
+        let (mut plain, _) = small_chip_backend(91);
+        let mut timed = timed_backend(chip(91));
+        let a = collect(&mut plain, &patterns, &plan, 1);
+        let b = collect(&mut timed, &patterns, &plan, 1);
+        assert_eq!(
+            raw_counts(&a),
+            raw_counts(&b),
+            "timing must change cost, never facts"
+        );
+        assert!(timed.sim_elapsed_ns().unwrap() > 0);
+    }
 
-        for pi in 0..patterns.len() {
-            assert_eq!(legacy.trials(pi), engine.trials(pi));
-            for j in 0..32 {
-                assert_eq!(legacy.count(pi, j), engine.count(pi, j), "({pi}, {j})");
+    #[test]
+    fn estimator_matches_meter_exactly() {
+        let c = chip(92);
+        let patterns = PatternSet::Checkered.patterns(32);
+        let plan = CollectionPlan::quick();
+
+        let estimated =
+            TimedCostModel::for_chip(TimingParams::ddr4_3200(), &c.geometry()).round_sim_ns(&plan);
+        let mut timed = timed_backend(c);
+        collect(&mut timed, &patterns, &plan, 1);
+        assert_eq!(timed.sim_elapsed_ns().unwrap(), estimated);
+    }
+
+    #[test]
+    fn parallel_collection_accrues_serial_sim_time() {
+        let patterns = PatternSet::One.patterns(32);
+        let plan = CollectionPlan::quick();
+
+        let mut serial = timed_backend(chip(93));
+        let mut parallel = timed_backend(chip(93));
+        let a = collect(&mut serial, &patterns, &plan, 1);
+        let b = collect(&mut parallel, &patterns, &plan, 4);
+        assert_eq!(raw_counts(&a), raw_counts(&b));
+        assert_eq!(serial.sim_elapsed_ns(), parallel.sim_elapsed_ns());
+    }
+
+    #[test]
+    fn successive_collections_draw_fresh_trials_in_both_clock_modes() {
+        let patterns = PatternSet::One.patterns(32);
+        let plan = CollectionPlan::quick();
+        let units = plan.num_trials() as u64;
+        // A noisy chip whose trial counter starts at `at`: transient noise
+        // is the only observation that depends on the counter.
+        let noisy = |at: u64| {
+            let mut chip = SimChip::new(
+                ChipConfig::small_test_chip(96)
+                    .with_geometry(Geometry::new(1, 128, 128))
+                    .with_noise(TransientNoise {
+                        flip_probability: 1e-4,
+                    }),
+            );
+            chip.seek_trial(at);
+            chip
+        };
+        for timed in [false, true] {
+            let backend = |chip: SimChip| {
+                if timed {
+                    timed_backend(chip)
+                } else {
+                    let knowledge = knowledge_for(&chip);
+                    ChipBackend::new(Box::new(chip), knowledge)
+                }
+            };
+            let mut one = backend(noisy(0));
+            let first = collect(&mut one, &patterns, &plan, 1);
+            assert_eq!(one.chip_mut().trial_counter(), units, "timed={timed}");
+            let second = collect(&mut one, &patterns, &plan, 1);
+            assert_eq!(one.chip_mut().trial_counter(), 2 * units, "timed={timed}");
+            assert_ne!(
+                raw_counts(&first),
+                raw_counts(&second),
+                "timed={timed}: the second collection replayed the first's noise"
+            );
+            let fresh = collect(&mut backend(noisy(units)), &patterns, &plan, 1);
+            assert_eq!(raw_counts(&second), raw_counts(&fresh), "timed={timed}");
+
+            // Driving the chip directly advances its counter past the
+            // backend's base; the next collection resumes from there.
+            for _ in 0..3 {
+                one.chip_mut().retention_test(plan.trefw_schedule[0]);
             }
+            let third = collect(&mut one, &patterns, &plan, 1);
+            let fresh = collect(&mut backend(noisy(2 * units + 3)), &patterns, &plan, 1);
+            assert_eq!(raw_counts(&third), raw_counts(&fresh), "timed={timed}");
         }
     }
 
@@ -772,12 +1025,7 @@ mod tests {
         let (_, code) = small_chip_backend(92);
         let patterns = PatternSet::One.patterns(code.k());
         let mut backend = AnalyticBackend::new(code.clone());
-        let profile = collect_with(
-            &mut backend,
-            &patterns,
-            &CollectionPlan::quick(),
-            &EngineOptions::serial(),
-        );
+        let profile = collect(&mut backend, &patterns, &CollectionPlan::quick(), 1);
         assert_eq!(
             profile.to_constraints(&ThresholdFilter::default()),
             analytic_profile(&code, &patterns)
@@ -800,12 +1048,7 @@ mod tests {
         patterns.extend(PatternSet::Checkered.patterns(k));
         patterns.extend(PatternSet::All.patterns(k));
         let mut backend = AnalyticBackend::new(code.clone());
-        let profile = collect_with(
-            &mut backend,
-            &patterns,
-            &CollectionPlan::quick(),
-            &EngineOptions::serial(),
-        );
+        let profile = collect(&mut backend, &patterns, &CollectionPlan::quick(), 1);
         assert_eq!(
             profile.to_constraints(&ThresholdFilter::default()),
             analytic_profile(&code, &patterns)
@@ -820,12 +1063,7 @@ mod tests {
         let (_, code) = small_chip_backend(93);
         let patterns = PatternSet::One.patterns(code.k());
         let mut backend = EinsimBackend::new(code.clone(), 2000, 7);
-        let profile = collect_with(
-            &mut backend,
-            &patterns,
-            &CollectionPlan::quick(),
-            &EngineOptions::serial(),
-        );
+        let profile = collect(&mut backend, &patterns, &CollectionPlan::quick(), 1);
         let truth = analytic_profile(&code, &patterns);
         for (pi, (pattern, obs)) in truth.entries.iter().enumerate() {
             for (j, &o) in obs.iter().enumerate() {
@@ -879,7 +1117,7 @@ mod tests {
     #[test]
     fn worker_panic_is_a_typed_error_with_shard_context() {
         let patterns = vec![ChargedSet::new(vec![0], 4)];
-        let err = crate::engine::try_collect_with(
+        let err = try_collect_with(
             &mut PanickyBackend,
             &patterns,
             &CollectionPlan::quick(),
@@ -921,12 +1159,7 @@ mod tests {
         let patterns = PatternSet::One.patterns(32);
         let plan = CollectionPlan::quick();
         let run = |backend: &mut dyn ProfileSource, threads: usize| {
-            collect_with(
-                backend,
-                &patterns,
-                &plan,
-                &EngineOptions::with_threads(threads),
-            )
+            collect(backend, &patterns, &plan, threads)
         };
 
         let (mut chips, code) = small_chip_backend(94);

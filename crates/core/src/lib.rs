@@ -5,10 +5,14 @@
 //! needs no hardware tools, no knowledge of the chip internals, and no ECC
 //! metadata. The three steps (paper §5):
 //!
-//! 1. **Induce miscorrections** ([`collect`], [`layout_probe`]): write
-//!    carefully crafted CHARGED/DISCHARGED test patterns ([`pattern`]),
-//!    pause DRAM refresh to induce uncorrectable data-retention errors,
-//!    and record which data bits suffer *miscorrections* for each pattern.
+//! 1. **Induce miscorrections** ([`engine::ChipBackend`], [`collect`],
+//!    [`layout_probe`]): write carefully crafted CHARGED/DISCHARGED test
+//!    patterns ([`pattern`]), pause DRAM refresh to induce uncorrectable
+//!    data-retention errors, and record which data bits suffer
+//!    *miscorrections* for each pattern. The same backend can execute each
+//!    trial through a cycle-accurate controller clock
+//!    ([`engine::ChipBackend::with_params`]) to meter what the campaign
+//!    costs in simulated DRAM time.
 //! 2. **Analyze post-correction errors** ([`profile`]): accumulate
 //!    observations into a [`MiscorrectionProfile`] and apply a threshold
 //!    filter to reject transient noise (§5.2).
@@ -62,12 +66,11 @@ pub mod profile;
 pub mod recovery;
 pub mod runtime;
 pub mod solve;
-pub mod timed;
 pub mod trace;
 
 pub use engine::{
-    collect_with, try_collect_traced, try_collect_with, AnalyticBackend, ChipBackend,
-    EinsimBackend, EngineError, EngineOptions, ProfileSource,
+    try_collect_traced, try_collect_with, AnalyticBackend, ChipBackend, EinsimBackend, EngineError,
+    EngineOptions, ProfileSource,
 };
 pub use pattern::{ChargedSet, PatternSet};
 pub use profile::{MiscorrectionProfile, Observation, ProfileConstraints, ThresholdFilter};
@@ -76,9 +79,15 @@ pub use recovery::{
     FanoutNotify, FleetMember, FleetOutcome, PatternSchedule, RecoveryConfig, RecoveryError,
     RecoveryEvent, RecoveryFleet, RecoveryOutcome, RecoveryReport, RecoverySession, RecoveryStats,
     RoundPhases, ScheduleCostModel, ScheduleCostReport, SessionHooks, SessionStatus,
+    TimedCostModel,
 };
 pub use solve::{solve_profile, BeerSolverOptions, SolveReport};
-pub use timed::{TimedChipBackend, TimedCostModel};
 pub use trace::{
     ChunkError, Fingerprint, ProfileTrace, ReplayBackend, TraceAssembler, TraceParseError,
 };
+
+/// The former name of a clocked [`ChipBackend`], kept only so existing
+/// benchmark code still compiles. New code calls
+/// [`ChipBackend::with_params`]; beware that `new` through this alias
+/// builds an *untimed* backend.
+pub type TimedChipBackend = ChipBackend;

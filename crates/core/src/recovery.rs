@@ -30,10 +30,9 @@
 //!   one per chip of a population — concurrently over a shared thread
 //!   budget, returning per-member reports in deterministic member order.
 //!
-//! The original free functions ([`crate::engine::collect_with`],
-//! [`crate::solve::solve_profile`], [`crate::solve::progressive_recover`])
-//! remain as documented low-level entry points; `progressive_recover` is a
-//! thin wrapper over a session.
+//! The free functions [`crate::engine::try_collect_with`] and
+//! [`crate::solve::solve_profile`] remain as low-level entry points for
+//! experiments that drive one stage in isolation.
 //!
 //! # Examples
 //!
@@ -68,6 +67,7 @@ use crate::solve::{
 use crate::trace::{ProfileTrace, UnitTrace};
 use beer_ecc::{hamming, LinearCode};
 use beer_sat::SolverStats;
+use beer_timing::{plan_cost_ns, ArrayGeometry, TimingParams};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -434,7 +434,7 @@ impl PatternSchedule {
     /// (`k − order`): each is a position where the round can assert a
     /// definite miscorrection/no-miscorrection fact (§4.2.2). The round's
     /// denominator comes from the cost model *executing* the plan's
-    /// refresh-window sweep (see `TimedCostModel`), so the ordering and
+    /// refresh-window sweep (see [`TimedCostModel`]), so the ordering and
     /// the absolute per-round cost quoted in the report derive from the
     /// same command streams the timed backend will run. Ties (and the
     /// common case of one shared plan, where the denominator is uniform)
@@ -497,6 +497,43 @@ pub trait ScheduleCostModel {
     /// Simulated nanoseconds one full collection round under `plan` costs
     /// (every refresh window, `trials_per_step` trials each).
     fn round_sim_ns(&self, plan: &CollectionPlan) -> u64;
+}
+
+/// A [`ScheduleCostModel`] pricing collection rounds by executing the
+/// plan's trial streams on scratch `beer_timing` controllers.
+///
+/// Because a clocked [`crate::engine::ChipBackend`] (see
+/// [`crate::engine::ChipBackend::with_params`]) runs every unit on a fresh
+/// controller with the same parameters, this model's per-round figure
+/// equals the backend meter's accrual for that round *exactly* — not
+/// approximately.
+#[derive(Clone, Copy, Debug)]
+pub struct TimedCostModel {
+    params: TimingParams,
+    geom: ArrayGeometry,
+}
+
+impl TimedCostModel {
+    /// A model over an explicit speed bin and array shape.
+    pub fn new(params: TimingParams, geom: ArrayGeometry) -> Self {
+        TimedCostModel { params, geom }
+    }
+
+    /// A model for a chip's geometry.
+    pub fn for_chip(params: TimingParams, geometry: &beer_dram::Geometry) -> Self {
+        TimedCostModel::new(params, ArrayGeometry::of_chip(geometry))
+    }
+}
+
+impl ScheduleCostModel for TimedCostModel {
+    fn round_sim_ns(&self, plan: &CollectionPlan) -> u64 {
+        plan_cost_ns(
+            &self.params,
+            &self.geom,
+            &plan.trefw_schedule,
+            plan.trials_per_step,
+        )
+    }
 }
 
 /// One family's entry in a [`ScheduleCostReport`].
@@ -630,12 +667,6 @@ impl RecoveryConfig {
     /// Collection worker threads (`0` = available parallelism).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.engine = EngineOptions::with_threads(threads);
-        self
-    }
-
-    /// Overrides the full engine option block.
-    pub fn with_engine_options(mut self, engine: EngineOptions) -> Self {
-        self.engine = engine;
         self
     }
 

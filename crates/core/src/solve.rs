@@ -41,11 +41,9 @@
 //! Uniqueness checking enumerates models with blocking clauses until UNSAT
 //! or a caller-set cap — "Check Uniqueness" in Figure 6.
 
-use crate::collect::CollectionPlan;
-use crate::engine::{EngineOptions, ProfileSource};
 use crate::pattern::ChargedSet;
 use crate::preprocess::{preprocess, Preprocessed};
-use crate::profile::{Observation, ProfileConstraints, ThresholdFilter};
+use crate::profile::{Observation, ProfileConstraints};
 use beer_ecc::LinearCode;
 use beer_gf2::BitMatrix;
 use beer_sat::{CnfBuilder, Lit, SatResult, Solver, SolverSession, SolverStats, Var};
@@ -1106,85 +1104,6 @@ impl ProgressiveSolver {
     }
 }
 
-/// The outcome of a progressive collect-and-solve run.
-#[derive(Debug)]
-pub struct ProgressiveOutcome {
-    /// The final uniqueness check's report.
-    pub report: SolveReport,
-    /// Collect→solve rounds executed.
-    pub rounds: usize,
-    /// Patterns actually collected and encoded.
-    pub patterns_used: usize,
-    /// Patterns the full schedule would have collected.
-    pub patterns_available: usize,
-    /// Definite facts encoded into the SAT session.
-    pub facts_encoded: usize,
-    /// `P` variables pinned by GF(2) preprocessing.
-    pub pinned_vars: usize,
-    /// Wall-clock total, collection included.
-    pub total_time: Duration,
-}
-
-/// Interleaves collection and solving: collects one pattern batch at a
-/// time from `source`, streams its thresholded constraints into an
-/// incremental SAT session, and stops at the first batch after which the
-/// solution is unique — realizing the §6.3 observation that most patterns
-/// are redundant once the profile pins the code down.
-///
-/// Returns after the first unique check, an UNSAT check (noise made the
-/// profile contradictory), or the last batch.
-///
-/// This is a documented low-level wrapper over
-/// [`crate::recovery::RecoverySession`]; the session additionally offers
-/// step-wise execution, cancellation, budgets, progress events, and trace
-/// checkpointing.
-///
-/// # Errors
-///
-/// Returns a [`SolveError`] if a batch's patterns disagree with
-/// `source.k()` or a pattern order is unsupported by the selected
-/// encoding.
-///
-/// # Panics
-///
-/// Panics if `batches` is empty or the backend fails the collection (use
-/// [`crate::recovery::RecoverySession`] for typed engine errors).
-pub fn progressive_recover(
-    source: &mut dyn ProfileSource,
-    parity_bits: usize,
-    batches: &[Vec<ChargedSet>],
-    plan: &CollectionPlan,
-    filter: &ThresholdFilter,
-    solver_options: &BeerSolverOptions,
-    engine_options: &EngineOptions,
-) -> Result<ProgressiveOutcome, SolveError> {
-    assert!(!batches.is_empty(), "no pattern batches given");
-    let report = crate::recovery::RecoveryConfig::new()
-        .with_parity_bits(parity_bits)
-        .with_batches(batches.to_vec())
-        .with_plan(plan.clone())
-        .with_filter(*filter)
-        .with_solver_options(*solver_options)
-        .with_engine_options(*engine_options)
-        .session(source)
-        .run_to_completion()
-        .map_err(|e| match e {
-            crate::recovery::RecoveryError::Solve(e) => e,
-            crate::recovery::RecoveryError::Engine(e) => panic!("collection failed: {e}"),
-        })?;
-    Ok(ProgressiveOutcome {
-        report: report
-            .last_check
-            .expect("a non-empty schedule runs at least one round"),
-        rounds: report.stats.rounds,
-        patterns_used: report.stats.patterns_used,
-        patterns_available: report.stats.patterns_available,
-        facts_encoded: report.stats.facts_encoded,
-        pinned_vars: report.stats.pinned_vars,
-        total_time: report.stats.elapsed,
-    })
-}
-
 /// The standard progressive batch schedule: all 1-CHARGED patterns first
 /// (they carry the most information per pattern, §4.2.4), then 2-CHARGED
 /// patterns in chunks of `chunk`.
@@ -1669,31 +1588,30 @@ mod tests {
     }
 
     #[test]
-    fn progressive_recovery_stops_before_the_full_schedule() {
+    fn chunked_session_stops_before_the_full_schedule() {
         use crate::engine::AnalyticBackend;
+        use crate::recovery::RecoveryConfig;
 
         let code = hamming::shortened(11);
         let mut backend = AnalyticBackend::new(code.clone());
-        let outcome = progressive_recover(
-            &mut backend,
-            code.parity_bits(),
-            &progressive_batches(11, 8),
-            &crate::collect::CollectionPlan::quick(),
-            &ThresholdFilter::default(),
-            &BeerSolverOptions::default(),
-            &EngineOptions::serial(),
-        )
-        .expect("analytic batches are well-formed");
-        assert!(outcome.report.is_unique());
-        assert!(equivalence::equivalent(&outcome.report.solutions[0], &code));
+        let report = RecoveryConfig::new()
+            .with_parity_bits(code.parity_bits())
+            .with_chunked_schedule(8)
+            .with_threads(1)
+            .session(&mut backend)
+            .run_to_completion()
+            .expect("analytic backends cannot fail");
+        let check = report.last_check.expect("at least one round ran");
+        assert!(check.is_unique());
+        assert!(equivalence::equivalent(&check.solutions[0], &code));
         assert!(
-            outcome.patterns_used < outcome.patterns_available,
+            report.stats.patterns_used < report.stats.patterns_available,
             "progressive run used the whole schedule ({} of {})",
-            outcome.patterns_used,
-            outcome.patterns_available
+            report.stats.patterns_used,
+            report.stats.patterns_available
         );
-        assert!(outcome.rounds >= 1);
-        assert!(outcome.facts_encoded > 0);
+        assert!(report.stats.rounds >= 1);
+        assert!(report.stats.facts_encoded > 0);
     }
 
     #[test]

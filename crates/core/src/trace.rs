@@ -810,16 +810,25 @@ impl ProfileSource for ReplayBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{collect_with, AnalyticBackend, EngineOptions};
+    use crate::engine::{try_collect_with, AnalyticBackend, EngineOptions};
     use crate::pattern::PatternSet;
     use beer_ecc::hamming;
+
+    fn collect(
+        source: &mut dyn ProfileSource,
+        patterns: &[ChargedSet],
+        plan: &CollectionPlan,
+    ) -> MiscorrectionProfile {
+        try_collect_with(source, patterns, plan, &EngineOptions::serial())
+            .expect("in-memory backends cannot fail collection")
+    }
 
     fn sample_trace() -> (ProfileTrace, MiscorrectionProfile) {
         let code = hamming::shortened(8);
         let patterns = PatternSet::OneTwo.patterns(8);
         let plan = CollectionPlan::quick();
         let mut backend = AnalyticBackend::new(code);
-        let profile = collect_with(&mut backend, &patterns, &plan, &EngineOptions::serial());
+        let profile = collect(&mut backend, &patterns, &plan);
         let trace = ProfileTrace::record(&mut backend, &patterns, &plan);
         (trace, profile)
     }
@@ -829,12 +838,7 @@ mod tests {
         let (trace, original) = sample_trace();
         let patterns = trace.patterns.clone();
         let mut replay = ReplayBackend::new(trace);
-        let replayed = collect_with(
-            &mut replay,
-            &patterns,
-            &CollectionPlan::quick(),
-            &EngineOptions::serial(),
-        );
+        let replayed = collect(&mut replay, &patterns, &CollectionPlan::quick());
         for pi in 0..patterns.len() {
             assert_eq!(original.trials(pi), replayed.trials(pi));
             for j in 0..8 {
@@ -974,12 +978,7 @@ mod tests {
         let patterns = trace.patterns.clone();
         let subset: Vec<ChargedSet> = patterns.iter().skip(3).cloned().collect();
         let mut replay = ReplayBackend::new(trace);
-        let replayed = collect_with(
-            &mut replay,
-            &subset,
-            &CollectionPlan::quick(),
-            &EngineOptions::serial(),
-        );
+        let replayed = collect(&mut replay, &subset, &CollectionPlan::quick());
         for (si, pattern) in subset.iter().enumerate() {
             let oi = patterns.iter().position(|p| p == pattern).unwrap();
             assert_eq!(original.trials(oi), replayed.trials(si));
@@ -997,7 +996,7 @@ mod tests {
         let recorded = trace.patterns.len();
         let mut replay = ReplayBackend::new(trace);
         let missing = vec![ChargedSet::new(vec![0, 1, 2], 8)];
-        let err = crate::engine::try_collect_with(
+        let err = try_collect_with(
             &mut replay,
             &missing,
             &CollectionPlan::quick(),
@@ -1024,7 +1023,7 @@ mod tests {
         let trace = ProfileTrace::from_text(text).expect("well-formed");
         let request = vec![ChargedSet::new(vec![1], 4)];
         let mut replay = ReplayBackend::new(trace);
-        let err = crate::engine::try_collect_with(
+        let err = try_collect_with(
             &mut replay,
             &request,
             &CollectionPlan::quick(),
@@ -1043,7 +1042,7 @@ mod tests {
             .expect("well-formed");
         let twice = vec![ChargedSet::new(vec![1], 4), ChargedSet::new(vec![1], 4)];
         let mut replay = ReplayBackend::new(trace);
-        let err = crate::engine::try_collect_with(
+        let err = try_collect_with(
             &mut replay,
             &twice,
             &CollectionPlan::quick(),
@@ -1104,12 +1103,7 @@ mod tests {
             1,
             "only the unit carrying pattern 0's records is active"
         );
-        let profile = collect_with(
-            &mut replay,
-            &batch1,
-            &CollectionPlan::quick(),
-            &EngineOptions::serial(),
-        );
+        let profile = collect(&mut replay, &batch1, &CollectionPlan::quick());
         assert_eq!(profile.trials(0), 5);
     }
 

@@ -24,7 +24,7 @@ use crate::job::{
 };
 use crate::queue::FairScheduler;
 use crate::registry::{CodeEntry, JobRecord, Registry};
-use beer_core::engine::{EngineOptions, ProfileSource};
+use beer_core::engine::ProfileSource;
 use beer_core::recovery::{
     lock_unpoisoned, run_session_guarded, BudgetReason, CancelToken, Fanout, FanoutNotify,
     RecoveryConfig, RecoveryEvent, RecoveryOutcome, SessionHooks,
@@ -1381,10 +1381,7 @@ fn worker_loop(inner: &Inner) {
             job_events.publish(&event);
             global_events.publish(&event);
         };
-        let mut config = inner
-            .recovery
-            .clone()
-            .with_engine_options(EngineOptions::serial());
+        let mut config = inner.recovery.clone().with_threads(1);
         if let Some(at) = deadline_at {
             config = config.with_deadline(at.saturating_duration_since(Instant::now()));
         }

@@ -25,9 +25,10 @@
 //!   refresh-paused decay → readback sweep) and prices plans by executing
 //!   them on scratch controllers ([`trial_cost`], [`plan_cost_ns`]).
 //!
-//! `beer_core` wraps this into `TimedChipBackend` (a `ProfileSource` that
-//! meters simulated wall-clock per unit) and a cost-aware pattern
-//! scheduler; this crate depends only on `beer_dram` for geometry.
+//! `beer_core` builds on this: `ChipBackend::with_params` gives its chip
+//! backend a controller clock that meters simulated wall-clock per unit,
+//! and `TimedCostModel` prices rounds for the cost-aware pattern
+//! scheduler. This crate depends only on `beer_dram` for geometry.
 
 pub mod bank;
 pub mod campaign;

@@ -5,11 +5,11 @@
 //!
 //! The paper prices its experiments in DRAM time — every retention trial
 //! pins the array for a full refresh window while the SAT solve takes
-//! milliseconds (§6.3). Here both numbers come from one execution: the
-//! `TimedChipBackend` drives every trial through a `beer_timing`
-//! controller (program sweep → refresh-paused decay → readback), so each
-//! round's error profile and its simulated nanoseconds derive from the
-//! same command stream. Temperature sets the exchange rate: the retention
+//! milliseconds (§6.3). Here both numbers come from one execution: a
+//! clocked `ChipBackend` (`ChipBackend::with_params`) drives every trial
+//! through a `beer_timing` controller (program sweep → refresh-paused
+//! decay → readback), so each round's error profile and its simulated
+//! nanoseconds derive from the same command stream. Temperature sets the exchange rate: the retention
 //! model needs exponentially longer refresh windows at lower temperature
 //! to reach the same raw bit-error rates, so the *same facts* cost vastly
 //! more simulated hours at 45 °C than at 80 °C.
@@ -73,12 +73,12 @@ fn main() {
             CellType::True,
             c.geometry().total_rows(),
         );
-        let mut backend =
-            TimedChipBackend::with_params(Box::new(c), knowledge, TimingParams::lpddr4_3200());
-
         // Price one round up front by *executing* the plan on a scratch
         // controller — the same streams the backend will run.
-        let round_ns = backend.cost_model().round_sim_ns(&plan);
+        let round_ns = TimedCostModel::for_chip(TimingParams::lpddr4_3200(), &c.geometry())
+            .round_sim_ns(&plan);
+        let mut backend =
+            ChipBackend::with_params(Box::new(c), knowledge, TimingParams::lpddr4_3200());
         println!(
             "    cost model: one collection round = {:.2} simulated hours",
             round_ns as f64 / 3.6e12

@@ -47,7 +47,7 @@
 //! }
 //! ```
 //!
-//! The low-level steps (`collect_with`, `solve_profile`,
+//! The low-level steps (`try_collect_with`, `solve_profile`,
 //! `ProgressiveSolver`) remain available for experiments that need to
 //! drive one stage in isolation — see the README's low-level API appendix.
 
@@ -72,23 +72,21 @@ pub mod prelude {
     };
     pub use beer_cluster::{Cluster, ClusterClient, ClusterJob};
     pub use beer_core::analytic::{analytic_profile, code_matches_constraints};
-    pub use beer_core::collect::{collect_profile, ChipKnowledge, CollectionPlan};
+    pub use beer_core::collect::{ChipKnowledge, CollectionPlan};
     pub use beer_core::direct::extract_by_injection;
     pub use beer_core::preprocess::{preprocess, Preprocessed};
     pub use beer_core::solve::{
-        progressive_batches, progressive_recover, ColumnDistinctness, ObservationEncoding,
-        ProgressiveOutcome, ProgressiveSolver, SolveError,
+        progressive_batches, ColumnDistinctness, ObservationEncoding, ProgressiveSolver, SolveError,
     };
     pub use beer_core::{
-        collect_with, run_session_guarded, solve_profile, try_collect_traced, try_collect_with,
-        AnalyticBackend, BeerSolverOptions, BudgetReason, CancelToken, ChargedSet, ChipBackend,
-        EinsimBackend, EngineError, EngineOptions, FamilyCostEstimate, Fanout, Fingerprint,
-        FleetMember, FleetOutcome, MiscorrectionProfile, Observation, PatternSchedule, PatternSet,
+        run_session_guarded, solve_profile, try_collect_traced, try_collect_with, AnalyticBackend,
+        BeerSolverOptions, BudgetReason, CancelToken, ChargedSet, ChipBackend, EinsimBackend,
+        EngineError, EngineOptions, FamilyCostEstimate, Fanout, Fingerprint, FleetMember,
+        FleetOutcome, MiscorrectionProfile, Observation, PatternSchedule, PatternSet,
         ProfileConstraints, ProfileSource, ProfileTrace, RecoveryConfig, RecoveryError,
         RecoveryEvent, RecoveryFleet, RecoveryOutcome, RecoveryReport, RecoverySession,
         RecoveryStats, ReplayBackend, ScheduleCostModel, ScheduleCostReport, SessionHooks,
-        SessionStatus, SolveReport, ThresholdFilter, TimedChipBackend, TimedCostModel,
-        TraceParseError,
+        SessionStatus, SolveReport, ThresholdFilter, TimedCostModel, TraceParseError,
     };
     pub use beer_dram::{
         CellLayout, CellType, ChipConfig, ControllerReport, DramInterface, Geometry, RankLevelEcc,

@@ -18,14 +18,22 @@ fn true_weak_cells(chip: &SimChip, word: usize, trefw: f64) -> Vec<usize> {
 fn beep_finds_chip_weak_cells_using_beer_recovered_function() {
     let mut chip = SimChip::new(ChipConfig::small_test_chip(0xBEE9));
 
-    // Phase 0: BEER recovers the ECC function from the chip interface.
+    // Phase 0: BEER recovers the ECC function from the chip interface —
+    // through a fork (same code, same weak cells), since the backend owns
+    // the chip it drives.
     let knowledge = ChipKnowledge::uniform(
         chip.config().word_layout,
         CellType::True,
         chip.geometry().total_rows(),
     );
     let patterns = PatternSet::One.patterns(chip.k());
-    let profile = collect_profile(&mut chip, &knowledge, &patterns, &CollectionPlan::quick());
+    let profile = try_collect_with(
+        &mut ChipBackend::new(chip.fork().expect("simulated chips fork"), knowledge),
+        &patterns,
+        &CollectionPlan::quick(),
+        &EngineOptions::serial(),
+    )
+    .expect("simulated chips cannot fail collection");
     let report = solve_profile(
         chip.k(),
         hamming::parity_bits_for(chip.k()),

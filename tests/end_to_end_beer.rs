@@ -9,14 +9,29 @@
 
 use beer::prelude::*;
 
-fn run_pipeline(chip: SimChip, set: PatternSet) -> SolveReport {
+/// A backend over `chip`, known to be all true cells.
+fn true_cell_backend(chip: SimChip) -> ChipBackend {
     let knowledge = ChipKnowledge::uniform(
         chip.config().word_layout,
         CellType::True,
         chip.geometry().total_rows(),
     );
+    ChipBackend::new(Box::new(chip), knowledge)
+}
+
+fn collect(backend: &mut ChipBackend, patterns: &[ChargedSet]) -> MiscorrectionProfile {
+    try_collect_with(
+        backend,
+        patterns,
+        &CollectionPlan::quick(),
+        &EngineOptions::default(),
+    )
+    .expect("simulated chips cannot fail collection")
+}
+
+fn run_pipeline(chip: SimChip, set: PatternSet) -> SolveReport {
     let k = chip.k();
-    let mut backend = ChipBackend::new(Box::new(chip), knowledge);
+    let mut backend = true_cell_backend(chip);
     RecoveryConfig::new()
         .with_parity_bits(hamming::parity_bits_for(k))
         .with_pattern_family(set)
@@ -59,34 +74,20 @@ fn progressive_engine_recovers_manufacturer_b_uniquely() {
     // soon as the profile pins the function down.
     let chip = SimChip::new(ChipConfig::small_test_chip(22));
     let secret = chip.reveal_code().clone();
-    let k = chip.k();
-    let knowledge = ChipKnowledge::uniform(
-        chip.config().word_layout,
-        CellType::True,
-        chip.geometry().total_rows(),
-    );
-    let mut backend = ChipBackend::new(Box::new(chip), knowledge);
-    let outcome = progressive_recover(
-        &mut backend,
-        hamming::parity_bits_for(k),
-        &progressive_batches(k, 32),
-        &CollectionPlan::quick(),
-        &ThresholdFilter::default(),
-        &BeerSolverOptions::default(),
-        &EngineOptions::default(),
-    )
-    .expect("well-formed batches");
+    let mut backend = true_cell_backend(chip);
+    let report = RecoveryConfig::new()
+        .with_chunked_schedule(32)
+        .session(&mut backend)
+        .run_to_completion()
+        .expect("simulated chips cannot fail collection");
+    let check = report.last_check.expect("at least one round ran");
+    assert!(check.is_unique(), "{} solutions", check.solutions.len());
+    assert!(equivalent(&check.solutions[0], &secret));
     assert!(
-        outcome.report.is_unique(),
-        "{} solutions",
-        outcome.report.solutions.len()
-    );
-    assert!(equivalent(&outcome.report.solutions[0], &secret));
-    assert!(
-        outcome.patterns_used <= outcome.patterns_available,
+        report.stats.patterns_used <= report.stats.patterns_available,
         "bookkeeping: {} of {}",
-        outcome.patterns_used,
-        outcome.patterns_available
+        report.stats.patterns_used,
+        report.stats.patterns_available
     );
 }
 
@@ -100,7 +101,9 @@ fn recovers_manufacturer_c_function_with_anti_cells() {
             .with_geometry(Geometry::new(1, 64, 128))
             .with_word_bytes(2)
     };
-    let mut chip = SimChip::new(config);
+    let chip = SimChip::new(config);
+    let secret = chip.reveal_code().clone();
+    let k = chip.k();
     // Knowledge must reflect the mixed cell layout.
     let knowledge = ChipKnowledge {
         word_layout: chip.config().word_layout,
@@ -108,21 +111,18 @@ fn recovers_manufacturer_c_function_with_anti_cells() {
             .map(|r| chip.config().cell_layout.cell_type_of_row(r))
             .collect(),
     };
-    let patterns = PatternSet::One.patterns(chip.k());
-    let profile = collect_profile(&mut chip, &knowledge, &patterns, &CollectionPlan::quick());
+    let mut backend = ChipBackend::new(Box::new(chip), knowledge);
+    let profile = collect(&mut backend, &PatternSet::One.patterns(k));
     let constraints = profile.to_constraints(&ThresholdFilter::default());
     let report = solve_profile(
-        chip.k(),
-        hamming::parity_bits_for(chip.k()),
+        k,
+        hamming::parity_bits_for(k),
         &constraints,
         &BeerSolverOptions::default(),
     )
     .expect("well-formed constraints");
     assert!(
-        report
-            .solutions
-            .iter()
-            .any(|s| equivalent(s, chip.reveal_code())),
+        report.solutions.iter().any(|s| equivalent(s, &secret)),
         "true function not among solutions"
     );
 }
@@ -133,15 +133,9 @@ fn different_chips_same_model_yield_identical_profiles() {
     // miscorrection profiles (the basis for attributing the profile to the
     // design rather than the chip instance).
     let profile_of = |chip_seed: u64| {
-        let mut chip = SimChip::new(ChipConfig::small_test_chip(chip_seed));
-        let knowledge = ChipKnowledge::uniform(
-            chip.config().word_layout,
-            CellType::True,
-            chip.geometry().total_rows(),
-        );
+        let chip = SimChip::new(ChipConfig::small_test_chip(chip_seed));
         let patterns = PatternSet::One.patterns(chip.k());
-        collect_profile(&mut chip, &knowledge, &patterns, &CollectionPlan::quick())
-            .to_constraints(&ThresholdFilter::default())
+        collect(&mut true_cell_backend(chip), &patterns).to_constraints(&ThresholdFilter::default())
     };
     let a = profile_of(100);
     let b = profile_of(200);
@@ -156,24 +150,24 @@ fn different_chips_same_model_yield_identical_profiles() {
 fn recovered_function_predicts_held_out_observations() {
     // Train on the 1-CHARGED patterns, then check the recovered function
     // predicts measurements of *held-out* 2-CHARGED patterns it never saw.
-    let mut chip = SimChip::new(ChipConfig::small_test_chip(44));
-    let knowledge = ChipKnowledge::uniform(
-        chip.config().word_layout,
-        CellType::True,
-        chip.geometry().total_rows(),
-    );
-    let train = PatternSet::One.patterns(chip.k());
+    let chip = SimChip::new(ChipConfig::small_test_chip(44));
+    let secret = chip.reveal_code().clone();
+    let k = chip.k();
+    let train = PatternSet::One.patterns(k);
     let test: Vec<ChargedSet> = PatternSet::Two
-        .patterns(chip.k())
+        .patterns(k)
         .into_iter()
         .step_by(17)
         .collect();
 
-    let profile = collect_profile(&mut chip, &knowledge, &train, &CollectionPlan::quick());
+    // One backend serves both collections, so the held-out run draws
+    // fresh trials rather than replaying the training run's.
+    let mut backend = true_cell_backend(chip);
+    let profile = collect(&mut backend, &train);
     let constraints = profile.to_constraints(&ThresholdFilter::default());
     let report = solve_profile(
-        chip.k(),
-        hamming::parity_bits_for(chip.k()),
+        k,
+        hamming::parity_bits_for(k),
         &constraints,
         &BeerSolverOptions {
             max_solutions: 4,
@@ -185,12 +179,11 @@ fn recovered_function_predicts_held_out_observations() {
 
     // Held-out validation: measured test-pattern profile must match the
     // recovered function's analytic prediction.
-    let held_out = collect_profile(&mut chip, &knowledge, &test, &CollectionPlan::quick())
-        .to_constraints(&ThresholdFilter::default());
+    let held_out = collect(&mut backend, &test).to_constraints(&ThresholdFilter::default());
     let truth_like = report
         .solutions
         .iter()
-        .find(|s| equivalent(s, chip.reveal_code()))
+        .find(|s| equivalent(s, &secret))
         .expect("true function recovered");
     let predicted = analytic_profile(truth_like, &test);
     for (pattern, bit) in held_out.disagreements(&predicted) {

@@ -5,6 +5,16 @@
 //! strictly less.
 
 use beer::prelude::*;
+use beer::timing::TimingParams;
+
+fn collect(
+    source: &mut dyn ProfileSource,
+    patterns: &[ChargedSet],
+    plan: &CollectionPlan,
+) -> MiscorrectionProfile {
+    try_collect_with(source, patterns, plan, &EngineOptions::default())
+        .expect("simulated backends cannot fail collection")
+}
 
 fn chip_and_secret(seed: u64) -> (ChipBackend, beer::ecc::LinearCode) {
     let chip =
@@ -25,23 +35,20 @@ fn all_backends_produce_identical_constraints() {
     let patterns = PatternSet::One.patterns(k);
     let plan = CollectionPlan::quick();
     let filter = ThresholdFilter::default();
-    let engine = EngineOptions::default();
 
-    let from_chip =
-        collect_with(&mut chip_backend, &patterns, &plan, &engine).to_constraints(&filter);
+    let from_chip = collect(&mut chip_backend, &patterns, &plan).to_constraints(&filter);
 
     let mut analytic = AnalyticBackend::new(secret.clone());
-    let from_analytic =
-        collect_with(&mut analytic, &patterns, &plan, &engine).to_constraints(&filter);
+    let from_analytic = collect(&mut analytic, &patterns, &plan).to_constraints(&filter);
 
     let mut einsim = EinsimBackend::new(secret.clone(), 3000, 0xE1);
-    let from_einsim = collect_with(&mut einsim, &patterns, &plan, &engine).to_constraints(&filter);
+    let from_einsim = collect(&mut einsim, &patterns, &plan).to_constraints(&filter);
 
     // Record the chip run and replay it through the trace backend.
     let trace = ProfileTrace::record(&mut chip_backend, &patterns, &plan);
     let text = trace.to_text();
     let mut replay = ReplayBackend::new(ProfileTrace::from_text(&text).expect("trace roundtrip"));
-    let from_replay = collect_with(&mut replay, &patterns, &plan, &engine).to_constraints(&filter);
+    let from_replay = collect(&mut replay, &patterns, &plan).to_constraints(&filter);
 
     // The analytic profile is the exact ground truth; every backend must
     // reproduce it fact for fact.
@@ -70,12 +77,7 @@ fn every_backend_recovers_the_same_code() {
     ];
 
     for backend in &mut backends {
-        let profile = collect_with(
-            backend.as_mut(),
-            &patterns,
-            &plan,
-            &EngineOptions::default(),
-        );
+        let profile = collect(backend.as_mut(), &patterns, &plan);
         let report = solve_profile(
             k,
             secret.parity_bits(),
@@ -96,7 +98,7 @@ fn every_backend_recovers_the_same_code() {
     }
 }
 
-fn timed_chip_and_secret(seed: u64) -> (TimedChipBackend, beer::ecc::LinearCode) {
+fn timed_chip_and_secret(seed: u64) -> (ChipBackend, beer::ecc::LinearCode) {
     let chip =
         SimChip::new(ChipConfig::small_test_chip(seed).with_geometry(Geometry::new(1, 128, 128)));
     let secret = chip.reveal_code().clone();
@@ -105,7 +107,10 @@ fn timed_chip_and_secret(seed: u64) -> (TimedChipBackend, beer::ecc::LinearCode)
         CellType::True,
         chip.geometry().total_rows(),
     );
-    (TimedChipBackend::new(Box::new(chip), knowledge), secret)
+    (
+        ChipBackend::with_params(Box::new(chip), knowledge, TimingParams::ddr4_3200()),
+        secret,
+    )
 }
 
 #[test]
@@ -119,10 +124,9 @@ fn timed_backend_is_bit_identical_to_chip_backend() {
     let patterns = PatternSet::One.patterns(k);
     let plan = CollectionPlan::quick();
     let filter = ThresholdFilter::default();
-    let engine = EngineOptions::default();
 
-    let from_plain = collect_with(&mut plain, &patterns, &plan, &engine).to_constraints(&filter);
-    let from_timed = collect_with(&mut timed, &patterns, &plan, &engine).to_constraints(&filter);
+    let from_plain = collect(&mut plain, &patterns, &plan).to_constraints(&filter);
+    let from_timed = collect(&mut timed, &patterns, &plan).to_constraints(&filter);
     assert_eq!(
         from_plain, from_timed,
         "timed and untimed backends extracted different facts"
@@ -179,33 +183,30 @@ fn progressive_matches_one_shot_with_fewer_constraints() {
 
     // Progressive: batches stream in until the solution is unique.
     let mut backend = AnalyticBackend::new(secret.clone());
-    let outcome = progressive_recover(
-        &mut backend,
-        parity,
-        &progressive_batches(k, k),
-        &CollectionPlan::quick(),
-        &ThresholdFilter::default(),
-        &BeerSolverOptions::default(),
-        &EngineOptions::default(),
-    )
-    .expect("well-formed batches");
-    assert!(outcome.report.is_unique());
+    let report = RecoveryConfig::new()
+        .with_parity_bits(parity)
+        .with_chunked_schedule(k)
+        .session(&mut backend)
+        .run_to_completion()
+        .expect("analytic backends cannot fail");
+    let check = report.last_check.expect("at least one round ran");
+    assert!(check.is_unique());
     assert!(
-        equivalent(&outcome.report.solutions[0], &one_shot.solutions[0]),
+        equivalent(&check.solutions[0], &one_shot.solutions[0]),
         "progressive and one-shot recovered different codes"
     );
     assert!(
-        equivalent(&outcome.report.solutions[0], &secret),
+        equivalent(&check.solutions[0], &secret),
         "progressive recovered the wrong code"
     );
     assert!(
-        outcome.facts_encoded < full_constraints.definite_facts(),
+        report.stats.facts_encoded < full_constraints.definite_facts(),
         "progressive encoded {} facts, one-shot {} — no savings",
-        outcome.facts_encoded,
+        report.stats.facts_encoded,
         full_constraints.definite_facts()
     );
     assert!(
-        outcome.patterns_used < outcome.patterns_available,
+        report.stats.patterns_used < report.stats.patterns_available,
         "progressive consumed the whole pattern schedule"
     );
 }

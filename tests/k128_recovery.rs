@@ -11,30 +11,37 @@
 
 use beer::prelude::*;
 
-fn flagship_outcome(seed: u64, chunk: usize) -> ProgressiveOutcome {
+/// Runs a (136, 128) recovery over `schedule`, asserting it recovers
+/// `code` uniquely.
+fn recover_128(code: &LinearCode, schedule: PatternSchedule, what: &str) -> RecoveryStats {
+    let mut backend = AnalyticBackend::new(code.clone());
+    let report = RecoveryConfig::new()
+        .with_parity_bits(8)
+        .with_schedule(schedule)
+        .session(&mut backend)
+        .run_to_completion()
+        .expect("analytic backends cannot fail");
+    let check = report.last_check.expect("at least one round ran");
+    assert!(
+        check.is_unique(),
+        "(136, 128) {what}: expected a unique solution, got {}",
+        check.solutions.len()
+    );
+    assert!(
+        equivalent(&check.solutions[0], code),
+        "(136, 128) {what}: wrong code recovered"
+    );
+    report.stats
+}
+
+fn flagship_stats(seed: u64, chunk: usize) -> RecoveryStats {
     let code = hamming::random_sec(128, &mut rand::rngs::StdRng::seed_from_u64(seed));
     assert_eq!(code.parity_bits(), 8, "(136, 128) has 8 parity bits");
-    let mut backend = AnalyticBackend::new(code.clone());
-    let outcome = progressive_recover(
-        &mut backend,
-        8,
-        &progressive_batches(128, chunk),
-        &CollectionPlan::quick(),
-        &ThresholdFilter::default(),
-        &BeerSolverOptions::default(),
-        &EngineOptions::default(),
+    recover_128(
+        &code,
+        PatternSchedule::Progressive { chunk },
+        &format!("seed {seed}"),
     )
-    .expect("well-formed batches");
-    assert!(
-        outcome.report.is_unique(),
-        "(136, 128) seed {seed}: expected a unique solution, got {}",
-        outcome.report.solutions.len()
-    );
-    assert!(
-        equivalent(&outcome.report.solutions[0], &code),
-        "(136, 128) seed {seed}: wrong code recovered"
-    );
-    outcome
 }
 
 use rand::SeedableRng;
@@ -42,23 +49,23 @@ use rand::SeedableRng;
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: full-size k = 128 solve")]
 fn recovers_a_random_136_128_code_progressively() {
-    let outcome = flagship_outcome(0xBEE9, 64);
+    let stats = flagship_stats(0xBEE9, 64);
     // §6.3's point at full scale: a fraction of the 8256-pattern schedule
     // suffices once preprocessing and the profile pin the code down.
     assert!(
-        outcome.patterns_used < outcome.patterns_available,
+        stats.patterns_used < stats.patterns_available,
         "used the whole schedule ({} of {})",
-        outcome.patterns_used,
-        outcome.patterns_available
+        stats.patterns_used,
+        stats.patterns_available
     );
-    assert!(outcome.facts_encoded > 0);
+    assert!(stats.facts_encoded > 0);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: full-size k = 128 solve")]
 fn recovers_several_136_128_codes() {
     for seed in [1u64, 2, 3] {
-        flagship_outcome(seed, 64);
+        flagship_stats(seed, 64);
     }
 }
 
@@ -70,7 +77,6 @@ fn recovers_136_128_code_needing_2charged_evidence() {
     // under-tested) so the run must consume 2-CHARGED batches — the path
     // that exercises the order-2 observation encoding at full scale.
     let code = hamming::random_sec(128, &mut rand::rngs::StdRng::seed_from_u64(0x2C));
-    let mut backend = AnalyticBackend::new(code.clone());
     let one: Vec<ChargedSet> = beer::core::pattern::one_charged(128)
         .into_iter()
         .take(96)
@@ -79,21 +85,10 @@ fn recovers_136_128_code_needing_2charged_evidence() {
     for chunk in beer::core::pattern::two_charged(128).chunks(64) {
         batches.push(chunk.to_vec());
     }
-    let outcome = progressive_recover(
-        &mut backend,
-        8,
-        &batches,
-        &CollectionPlan::quick(),
-        &ThresholdFilter::default(),
-        &BeerSolverOptions::default(),
-        &EngineOptions::default(),
-    )
-    .expect("well-formed batches");
+    let stats = recover_128(&code, PatternSchedule::Batches(batches), "seed 0x2C");
     assert!(
-        outcome.rounds > 1,
+        stats.rounds > 1,
         "partial 1-CHARGED profile unexpectedly sufficed — no 2-CHARGED \
          batch was consumed"
     );
-    assert!(outcome.report.is_unique());
-    assert!(equivalent(&outcome.report.solutions[0], &code));
 }

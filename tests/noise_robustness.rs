@@ -7,38 +7,53 @@
 
 use beer::prelude::*;
 
-fn pipeline_with_noise(flip_probability: f64, chip_seed: u64) -> (SolveReport, SimChip) {
-    let config =
-        ChipConfig::small_test_chip(chip_seed).with_noise(TransientNoise { flip_probability });
-    let mut chip = SimChip::new(config);
+/// Collects the raw 1-CHARGED profile of a noisy test chip, returning it
+/// with the chip's secret code and the code's exact analytic profile.
+fn noisy_profile(
+    chip_seed: u64,
+    flip_probability: f64,
+) -> (MiscorrectionProfile, LinearCode, ProfileConstraints) {
+    let chip = SimChip::new(
+        ChipConfig::small_test_chip(chip_seed).with_noise(TransientNoise { flip_probability }),
+    );
+    let secret = chip.reveal_code().clone();
+    let patterns = PatternSet::One.patterns(chip.k());
+    let truth = analytic_profile(&secret, &patterns);
     let knowledge = ChipKnowledge::uniform(
         chip.config().word_layout,
         CellType::True,
         chip.geometry().total_rows(),
     );
-    let patterns = PatternSet::One.patterns(chip.k());
-    let profile = collect_profile(&mut chip, &knowledge, &patterns, &CollectionPlan::quick());
+    let profile = try_collect_with(
+        &mut ChipBackend::new(Box::new(chip), knowledge),
+        &patterns,
+        &CollectionPlan::quick(),
+        &EngineOptions::serial(),
+    )
+    .expect("simulated chips cannot fail collection");
+    (profile, secret, truth)
+}
+
+fn pipeline_with_noise(flip_probability: f64, chip_seed: u64) -> (SolveReport, LinearCode) {
+    let (profile, secret, _) = noisy_profile(chip_seed, flip_probability);
     let constraints = profile.to_constraints(&ThresholdFilter::default());
     let report = solve_profile(
-        chip.k(),
-        hamming::parity_bits_for(chip.k()),
+        secret.k(),
+        hamming::parity_bits_for(secret.k()),
         &constraints,
         &BeerSolverOptions::default(),
     )
     .expect("well-formed constraints");
-    (report, chip)
+    (report, secret)
 }
 
 #[test]
 fn recovery_survives_realistic_transient_noise() {
     // ~1e-6 per cell per retention test is far above real transient rates;
     // the filter must still isolate the true profile.
-    let (report, chip) = pipeline_with_noise(1e-6, 71);
+    let (report, secret) = pipeline_with_noise(1e-6, 71);
     assert!(
-        report
-            .solutions
-            .iter()
-            .any(|s| equivalent(s, chip.reveal_code())),
+        report.solutions.iter().any(|s| equivalent(s, &secret)),
         "noise broke recovery: {} solutions",
         report.solutions.len()
     );
@@ -47,12 +62,9 @@ fn recovery_survives_realistic_transient_noise() {
 #[test]
 fn recovery_survives_heavy_transient_noise() {
     // 1e-5 per cell per test: a strongly pessimistic rate.
-    let (report, chip) = pipeline_with_noise(1e-5, 72);
+    let (report, secret) = pipeline_with_noise(1e-5, 72);
     assert!(
-        report
-            .solutions
-            .iter()
-            .any(|s| equivalent(s, chip.reveal_code())),
+        report.solutions.iter().any(|s| equivalent(s, &secret)),
         "heavy noise broke recovery: {} solutions",
         report.solutions.len()
     );
@@ -63,19 +75,7 @@ fn unfiltered_noisy_profile_contains_spurious_observations() {
     // Demonstrates the filter is actually doing work: with noise enabled,
     // raw counts contain observations the true function forbids, and the
     // threshold filter removes them.
-    let config = ChipConfig::small_test_chip(73).with_noise(TransientNoise {
-        flip_probability: 1e-5,
-    });
-    let mut chip = SimChip::new(config);
-    let knowledge = ChipKnowledge::uniform(
-        chip.config().word_layout,
-        CellType::True,
-        chip.geometry().total_rows(),
-    );
-    let patterns = PatternSet::One.patterns(chip.k());
-    let profile = collect_profile(&mut chip, &knowledge, &patterns, &CollectionPlan::quick());
-
-    let truth = analytic_profile(chip.reveal_code(), &patterns);
+    let (profile, _, truth) = noisy_profile(73, 1e-5);
     let mut spurious_raw = 0u64;
     for (pi, (_, obs)) in truth.entries.iter().enumerate() {
         for (bit, &o) in obs.iter().enumerate() {
@@ -161,17 +161,7 @@ fn under_tested_profiles_do_not_poison_the_sat_instance() {
 fn filter_separation_mirrors_figure_4() {
     // Figure 4: per-bit miscorrection probability mass is bimodal — zero
     // vs. clearly nonzero — so a simple threshold separates the classes.
-    let mut chip = SimChip::new(ChipConfig::small_test_chip(74).with_noise(TransientNoise {
-        flip_probability: 1e-6,
-    }));
-    let knowledge = ChipKnowledge::uniform(
-        chip.config().word_layout,
-        CellType::True,
-        chip.geometry().total_rows(),
-    );
-    let patterns = PatternSet::One.patterns(chip.k());
-    let profile = collect_profile(&mut chip, &knowledge, &patterns, &CollectionPlan::quick());
-    let truth = analytic_profile(chip.reveal_code(), &patterns);
+    let (profile, _, truth) = noisy_profile(74, 1e-6);
 
     // Pool the per-(pattern, bit) observation counts by ground truth class.
     let mut possible_counts: Vec<u64> = Vec::new();

@@ -15,6 +15,21 @@ fn raw_counts(profile: &MiscorrectionProfile) -> (Vec<Vec<u64>>, Vec<u64>) {
     (counts, trials)
 }
 
+fn collect(
+    source: &mut dyn ProfileSource,
+    patterns: &[ChargedSet],
+    plan: &CollectionPlan,
+    threads: usize,
+) -> MiscorrectionProfile {
+    try_collect_with(
+        source,
+        patterns,
+        plan,
+        &EngineOptions::with_threads(threads),
+    )
+    .expect("simulated backends cannot fail collection")
+}
+
 fn assert_identical(a: &MiscorrectionProfile, b: &MiscorrectionProfile, what: &str) {
     assert_eq!(raw_counts(a), raw_counts(b), "{what}: profiles differ");
 }
@@ -39,19 +54,9 @@ fn chip_backend(seed: u64, noise: Option<f64>) -> ChipBackend {
 fn chip_collection_is_thread_count_invariant() {
     let patterns = PatternSet::One.patterns(32);
     let plan = CollectionPlan::quick();
-    let serial = collect_with(
-        &mut chip_backend(0xD0_01, None),
-        &patterns,
-        &plan,
-        &EngineOptions::serial(),
-    );
+    let serial = collect(&mut chip_backend(0xD0_01, None), &patterns, &plan, 1);
     for threads in [2usize, 3, 8] {
-        let parallel = collect_with(
-            &mut chip_backend(0xD0_01, None),
-            &patterns,
-            &plan,
-            &EngineOptions::with_threads(threads),
-        );
+        let parallel = collect(&mut chip_backend(0xD0_01, None), &patterns, &plan, threads);
         assert_identical(&serial, &parallel, &format!("{threads} threads"));
     }
 }
@@ -63,47 +68,11 @@ fn noisy_chip_collection_is_still_deterministic() {
     // reproduced exactly across thread counts.
     let patterns = PatternSet::One.patterns(32);
     let plan = CollectionPlan::quick();
-    let serial = collect_with(
-        &mut chip_backend(0xD0_02, Some(1e-5)),
-        &patterns,
-        &plan,
-        &EngineOptions::serial(),
-    );
+    let serial = collect(&mut chip_backend(0xD0_02, Some(1e-5)), &patterns, &plan, 1);
     let noise_total: u64 = serial.per_bit_totals().iter().sum();
     assert!(noise_total > 0, "sweep observed nothing — vacuous test");
-    let parallel = collect_with(
-        &mut chip_backend(0xD0_02, Some(1e-5)),
-        &patterns,
-        &plan,
-        &EngineOptions::with_threads(4),
-    );
+    let parallel = collect(&mut chip_backend(0xD0_02, Some(1e-5)), &patterns, &plan, 4);
     assert_identical(&serial, &parallel, "noisy chip, 4 threads");
-}
-
-#[test]
-fn parallel_collection_matches_the_legacy_serial_loop() {
-    // The engine's serial and parallel paths must both reproduce the
-    // original `collect_profile` word-rotation semantics exactly.
-    let patterns = PatternSet::One.patterns(32);
-    let plan = CollectionPlan::quick();
-
-    let mut chip = SimChip::new(
-        ChipConfig::small_test_chip(0xD0_03).with_geometry(Geometry::new(1, 128, 128)),
-    );
-    let knowledge = ChipKnowledge::uniform(
-        chip.config().word_layout,
-        CellType::True,
-        chip.geometry().total_rows(),
-    );
-    let legacy = collect_profile(&mut chip, &knowledge, &patterns, &plan);
-
-    let parallel = collect_with(
-        &mut chip_backend(0xD0_03, None),
-        &patterns,
-        &plan,
-        &EngineOptions::default(),
-    );
-    assert_identical(&legacy, &parallel, "legacy vs engine");
 }
 
 #[test]
@@ -114,23 +83,13 @@ fn einsim_and_replay_backends_are_thread_count_invariant() {
     let plan = CollectionPlan::quick();
 
     let mut einsim = EinsimBackend::new(secret.clone(), 1500, 0xD0_04);
-    let serial = collect_with(&mut einsim, &patterns, &plan, &EngineOptions::serial());
-    let parallel = collect_with(
-        &mut einsim,
-        &patterns,
-        &plan,
-        &EngineOptions::with_threads(6),
-    );
+    let serial = collect(&mut einsim, &patterns, &plan, 1);
+    let parallel = collect(&mut einsim, &patterns, &plan, 6);
     assert_identical(&serial, &parallel, "einsim");
 
     let trace = ProfileTrace::record(&mut AnalyticBackend::new(secret), &patterns, &plan);
     let mut replay = ReplayBackend::new(trace);
-    let serial = collect_with(&mut replay, &patterns, &plan, &EngineOptions::serial());
-    let parallel = collect_with(
-        &mut replay,
-        &patterns,
-        &plan,
-        &EngineOptions::with_threads(5),
-    );
+    let serial = collect(&mut replay, &patterns, &plan, 1);
+    let parallel = collect(&mut replay, &patterns, &plan, 5);
     assert_identical(&serial, &parallel, "replay");
 }

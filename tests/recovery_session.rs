@@ -35,26 +35,23 @@ fn session_advances_step_wise_and_matches_progressive_recover() {
     let stepped_report = session.into_report();
     let stepped_code = stepped_report.outcome.unique_code().expect("unique");
 
-    // The low-level wrapper must reach the identical outcome.
+    // A one-call progressive run must reach the identical outcome.
     let mut backend = AnalyticBackend::new(code.clone());
-    let outcome = beer::core::solve::progressive_recover(
-        &mut backend,
-        code.parity_bits(),
-        &beer::core::solve::progressive_batches(11, 2),
-        &CollectionPlan::quick(),
-        &ThresholdFilter::default(),
-        &BeerSolverOptions::default(),
-        &EngineOptions::default(),
-    )
-    .expect("well-formed batches");
-    assert!(outcome.report.is_unique());
+    let report = config
+        .session(&mut backend)
+        .run_to_completion()
+        .expect("analytic");
+    let code = report.outcome.unique_code().expect("unique");
     assert_eq!(
-        outcome.report.solutions[0].parity_submatrix(),
+        code.parity_submatrix(),
         stepped_code.parity_submatrix(),
-        "wrapper and step-wise session disagree"
+        "one-call and step-wise sessions disagree"
     );
-    assert_eq!(outcome.rounds, stepped_report.stats.rounds);
-    assert_eq!(outcome.patterns_used, stepped_report.stats.patterns_used);
+    assert_eq!(report.stats.rounds, stepped_report.stats.rounds);
+    assert_eq!(
+        report.stats.patterns_used,
+        stepped_report.stats.patterns_used
+    );
 }
 
 #[test]
