@@ -112,8 +112,8 @@ pub fn parity_bits_of_len(n: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `codeword_len` is unsupported (see [`parity_bits_of_len`]) or
-/// more errors are requested than codeword bits.
+/// Panics if `codeword_len` is not of the form `2^p − 1` with `p ∈ 3..=8`,
+/// or more errors are requested than codeword bits.
 pub fn evaluate(config: &EvalConfig) -> EvalOutcome {
     let p = parity_bits_of_len(config.codeword_len);
     let k = hamming::full_length_k(p);

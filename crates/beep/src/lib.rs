@@ -5,13 +5,13 @@
 //! — including cells in the chip-invisible parity bits. The three phases
 //! of Figure 7:
 //!
-//! 1. **Craft test patterns** ([`craft`]): a SAT query produces a dataword
+//! 1. **Craft test patterns** ([`craft_pattern`]): a SAT query produces a dataword
 //!    whose codeword charges the target cell, discharges its neighbours
 //!    (worst-case coupling), and guarantees an *observable miscorrection*
 //!    if the target fails together with already-known error cells.
 //! 2. **Run experiments** ([`WordTarget`]): write the pattern, lengthen
 //!    the refresh window, read back.
-//! 3. **Calculate pre-correction errors** ([`decode`]): every observed
+//! 3. **Calculate pre-correction errors** ([`decode_read`]): every observed
 //!    miscorrection reveals its syndrome, from which the full erroneous
 //!    codeword — and therefore the exact error set — follows (Equation 4).
 //!

@@ -174,8 +174,10 @@ fn main() {
 /// §6.3: the progressive pipeline (a `RecoverySession` streaming batches
 /// into its incremental SAT session, stop at uniqueness) versus the same
 /// schedule with one-shot re-encoding of every accumulated constraint each
-/// round (the legacy `solve_profile` loop — the documented low-level
-/// baseline this comparison exists to beat).
+/// round (`solve_profile`, i.e. a fresh `ProgressiveSolver` per round with
+/// one push and one check — the low-level baseline this comparison exists
+/// to beat). The EXPERIMENTS.md table for this section predates
+/// `solve_profile` running through `ProgressiveSolver`.
 fn progressive_vs_reencoding(scale: Scale) {
     println!("\n================================================================");
     println!("fig6b: progressive (incremental session) vs one-shot re-encoding");

@@ -1,7 +1,7 @@
 //! The §4.1 baseline: systematic parity-check extraction when syndromes
 //! are visible.
 //!
-//! For rank-level ECC, Cojocar et al. [26] inject a 1-hot error at every
+//! For rank-level ECC, Cojocar et al. \[26\] inject a 1-hot error at every
 //! codeword position and read the reported syndrome, which *is* the
 //! corresponding column of `H` (Equation 2). This module implements that
 //! baseline so the reproduction can demonstrate both why it works in the

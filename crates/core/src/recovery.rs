@@ -61,8 +61,7 @@ use crate::engine::{collect_inner, EngineError, EngineOptions, ProfileSource};
 use crate::pattern::{ChargedSet, PatternSet};
 use crate::profile::ThresholdFilter;
 use crate::solve::{
-    progressive_batches, BeerSolverOptions, ColumnDistinctness, ObservationEncoding,
-    ProgressiveSolver, SolveError, SolveReport,
+    progressive_batches, BeerSolverOptions, ProgressiveSolver, SolveError, SolveReport,
 };
 use crate::trace::{ProfileTrace, UnitTrace};
 use beer_ecc::{hamming, LinearCode};
@@ -643,18 +642,6 @@ impl RecoveryConfig {
     /// Overrides the full solver option block.
     pub fn with_solver_options(mut self, solver: BeerSolverOptions) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Overrides the observation-to-clause encoding only.
-    pub fn with_encoding(mut self, encoding: ObservationEncoding) -> Self {
-        self.solver.encoding = encoding;
-        self
-    }
-
-    /// Overrides the column-distinctness scheme only.
-    pub fn with_distinctness(mut self, distinctness: ColumnDistinctness) -> Self {
-        self.solver.distinctness = distinctness;
         self
     }
 

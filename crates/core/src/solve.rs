@@ -33,20 +33,22 @@
 //!      the span. Both are `O(p·|A|)` and encode the §5.2 RANDOM and
 //!      ALL-charged patterns at any order.
 //!
-//! Before any of this, an optional [`crate::preprocess`] pass mines the
-//! 1-CHARGED facts for pinned `P` entries and per-column weight bounds;
-//! pins are asserted as units and constant-folded out of the observation
-//! circuits.
+//! After each batch of facts is encoded, an optional [`crate::preprocess`]
+//! pass mines everything accumulated for pinned `P` entries and per-column
+//! weight bounds; pins are asserted as units and constant-folded out of the
+//! observation circuits of *later* batches.
 //!
 //! Uniqueness checking enumerates models with blocking clauses until UNSAT
-//! or a caller-set cap — "Check Uniqueness" in Figure 6.
+//! or a caller-set cap — "Check Uniqueness" in Figure 6. There is one
+//! implementation of the whole procedure, [`ProgressiveSolver`];
+//! [`solve_profile`] is a single push followed by a single check.
 
 use crate::pattern::ChargedSet;
 use crate::preprocess::{preprocess, Preprocessed};
 use crate::profile::{Observation, ProfileConstraints};
 use beer_ecc::LinearCode;
 use beer_gf2::BitMatrix;
-use beer_sat::{CnfBuilder, Lit, SatResult, Solver, SolverSession, SolverStats, Var};
+use beer_sat::{CnfBuilder, Lit, SatResult, SolverSession, SolverStats, Var};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -71,11 +73,12 @@ pub enum SolveError {
         /// The largest order the selected encoding supports.
         max: usize,
     },
-    /// The constraints' dataword length disagrees with the solver's.
+    /// The constraints' (or one entry's) dataword length disagrees with
+    /// the solver's.
     DatawordMismatch {
         /// The solver's dataword length.
         expected: usize,
-        /// The constraints' dataword length.
+        /// The offending dataword length.
         found: usize,
     },
 }
@@ -158,8 +161,9 @@ pub struct BeerSolverOptions {
     pub encoding: ObservationEncoding,
     /// Column-distinctness scheme.
     pub distinctness: ColumnDistinctness,
-    /// Run the GF(2) propagation pass over 1-CHARGED facts and pin `P`
-    /// variables before encoding (see [`crate::preprocess`]).
+    /// Run the GF(2) propagation pass over 1-CHARGED facts after each
+    /// push and pin `P` variables for the pushes that follow (see
+    /// [`crate::preprocess`]).
     pub preprocess: bool,
 }
 
@@ -229,15 +233,15 @@ impl FLit {
 
 /// The encoded instance: builder plus the `P`-matrix variables
 /// (`vars[r * k + c]` is `P[r][c]`).
-pub struct EncodedProblem {
-    /// CNF under construction (callers may add constraints before solving).
-    pub cnf: CnfBuilder,
+struct EncodedProblem {
+    /// CNF under construction.
+    cnf: CnfBuilder,
     /// The matrix variables, row-major.
-    pub p_vars: Vec<Var>,
+    p_vars: Vec<Var>,
     /// Parity bits (rows of `P`).
-    pub parity_bits: usize,
+    parity_bits: usize,
     /// Data bits (columns of `P`).
-    pub k: usize,
+    k: usize,
     /// Preprocessing pins, row-major (`None` = free variable).
     pins: Vec<Option<bool>>,
     /// Weight lower bound already encoded per column.
@@ -260,7 +264,7 @@ impl EncodedProblem {
     }
 
     /// Number of `P` variables pinned by preprocessing.
-    pub fn pinned_vars(&self) -> usize {
+    fn pinned_vars(&self) -> usize {
         self.pins.iter().filter(|p| p.is_some()).count()
     }
 
@@ -387,37 +391,6 @@ impl EncodedProblem {
     }
 }
 
-/// Builds the SAT instance for a profile (constraints 1–3 above).
-///
-/// # Errors
-///
-/// Returns a [`SolveError`] if the constraints' dataword length differs
-/// from `k` or a pattern order is unsupported by the selected encoding.
-///
-/// # Panics
-///
-/// Panics if `parity_bits < 2` or `k == 0`.
-pub fn encode_profile(
-    k: usize,
-    parity_bits: usize,
-    constraints: &ProfileConstraints,
-    options: &BeerSolverOptions,
-) -> Result<EncodedProblem, SolveError> {
-    if constraints.k != k {
-        return Err(SolveError::DatawordMismatch {
-            expected: k,
-            found: constraints.k,
-        });
-    }
-    let mut problem = encode_base(k, parity_bits, options);
-    if options.preprocess {
-        let pre = preprocess(k, parity_bits, constraints);
-        problem.apply_preprocessing(&pre);
-    }
-    encode_observations(&mut problem, constraints, options)?;
-    Ok(problem)
-}
-
 /// Encodes the profile-independent part of the instance (constraints 1–2):
 /// code validity and, if enabled, the canonical row order.
 ///
@@ -483,31 +456,19 @@ fn encode_row_order(problem: &mut EncodedProblem) {
     }
 }
 
-/// Constraint 3: the profile facts.
-fn encode_observations(
-    problem: &mut EncodedProblem,
-    constraints: &ProfileConstraints,
-    options: &BeerSolverOptions,
-) -> Result<(), SolveError> {
-    for (pattern, observations) in &constraints.entries {
-        encode_observation_entry(problem, pattern, observations, options)?;
-    }
-    Ok(())
-}
-
-/// Encodes one pattern's observations (the per-entry slice of constraint
-/// 3) — the unit of incremental encoding used by [`ProgressiveSolver`].
+/// Encodes one pattern's observations (constraint 3 above, one entry at a
+/// time). The caller has validated the entry with [`check_entry`].
 fn encode_observation_entry(
     problem: &mut EncodedProblem,
     pattern: &ChargedSet,
     observations: &[Observation],
     options: &BeerSolverOptions,
-) -> Result<(), SolveError> {
+) {
     let p = problem.parity_bits;
     let charged = pattern.bits();
     let t = charged.len();
     if observations.iter().all(|&o| o == Observation::Unknown) {
-        return Ok(());
+        return;
     }
     if t == 0 {
         // An all-DISCHARGED pattern experiences no retention errors at
@@ -518,15 +479,9 @@ fn encode_observation_entry(
         if observations.contains(&Observation::Miscorrection) {
             problem.contradiction();
         }
-        return Ok(());
+        return;
     }
     let encoding = options.encoding.effective(t);
-    if encoding == ObservationEncoding::SubsetReps && t > MAX_SUBSET_ORDER {
-        return Err(SolveError::PatternOrderUnsupported {
-            order: t,
-            max: MAX_SUBSET_ORDER,
-        });
-    }
 
     // w_r = ⊕_{a∈A} P[r][a]: the CHARGED parity-bit indicator (shared by
     // every observation of the entry).
@@ -550,6 +505,32 @@ fn encode_observation_entry(
             }
             ObservationEncoding::Auto => unreachable!("effective() resolves Auto"),
         }
+    }
+}
+
+/// Refuses an entry the encoder cannot take: a dataword length other than
+/// `k`, or a pattern order beyond the selected encoding's cap (checked only
+/// for entries that carry a definite fact, since others encode nothing).
+fn check_entry(
+    k: usize,
+    pattern: &ChargedSet,
+    observations: &[Observation],
+    encoding: ObservationEncoding,
+) -> Result<(), SolveError> {
+    for found in [pattern.k(), observations.len()] {
+        if found != k {
+            return Err(SolveError::DatawordMismatch { expected: k, found });
+        }
+    }
+    let t = pattern.order();
+    if observations.iter().any(|&o| o != Observation::Unknown)
+        && encoding.effective(t) == ObservationEncoding::SubsetReps
+        && t > MAX_SUBSET_ORDER
+    {
+        return Err(SolveError::PatternOrderUnsupported {
+            order: t,
+            max: MAX_SUBSET_ORDER,
+        });
     }
     Ok(())
 }
@@ -785,14 +766,18 @@ fn duplicate_column_pairs(m: &BitMatrix) -> Vec<(usize, usize)> {
 /// function consistent with it (up to `options.max_solutions`), and report
 /// runtimes and solver statistics.
 ///
+/// This is one [`ProgressiveSolver::push_constraints`] of the whole profile
+/// into a fresh solver followed by one [`ProgressiveSolver::check`]; the
+/// report's `determine_time` and `total_time` include the encoding.
+///
 /// A report with exactly one solution means the profile uniquely
 /// identifies the chip's ECC function up to parity-bit relabeling.
 ///
 /// # Errors
 ///
-/// Returns a [`SolveError`] under the conditions of [`encode_profile`];
-/// unsatisfiable or contradictory profiles are *not* errors — they yield
-/// an empty solution list.
+/// Returns a [`SolveError`] under the conditions of
+/// [`ProgressiveSolver::push_constraints`]; unsatisfiable or contradictory
+/// profiles are *not* errors — they yield an empty solution list.
 ///
 /// # Panics
 ///
@@ -805,67 +790,13 @@ pub fn solve_profile(
     options: &BeerSolverOptions,
 ) -> Result<SolveReport, SolveError> {
     let start = Instant::now();
-    let mut problem = encode_profile(k, parity_bits, constraints, options)?;
-    let mut solver = Solver::new();
-    let mut ok = problem.cnf.flush_into(&mut solver);
-
-    let mut solutions: Vec<LinearCode> = Vec::new();
-    let mut truncated = false;
-    let mut determine_time = None;
-    let mut repairs = 0usize;
-    while ok {
-        let result = solver.solve();
-        if result != SatResult::Sat {
-            break;
-        }
-        let m = extract_matrix(|v| solver.value(v), &problem.p_vars, parity_bits, k);
-        let dups = duplicate_column_pairs(&m);
-        if !dups.is_empty() {
-            // Lazy distinctness: constrain the offending pairs and retry;
-            // the model does not count as a solution.
-            repairs += dups.len();
-            for (c1, c2) in dups {
-                problem.encode_pair_distinct(c1, c2);
-            }
-            ok = problem.cnf.flush_into(&mut solver);
-            continue;
-        }
-        let code = LinearCode::from_parity_submatrix(m)
-            .expect("SAT constraints guarantee a valid SEC code");
-        if options.verify_solutions {
-            assert!(
-                crate::analytic::code_matches_constraints(&code, constraints),
-                "SAT solution violates the profile — encoding bug"
-            );
-        }
-        determine_time.get_or_insert_with(|| start.elapsed());
-        solutions.push(code);
-        if solutions.len() >= options.max_solutions {
-            truncated = true;
-            break;
-        }
-        // Block this model (projected onto the P variables).
-        let block: Vec<Lit> = problem
-            .p_vars
-            .iter()
-            .map(|&v| v.lit(solver.value(v) != Some(true)))
-            .collect();
-        if !solver.add_clause(&block) {
-            break;
-        }
-    }
-
-    Ok(SolveReport {
-        solutions,
-        truncated,
-        determine_time: determine_time.unwrap_or_else(|| start.elapsed()),
-        total_time: start.elapsed(),
-        num_vars: problem.cnf.num_vars(),
-        num_clauses: problem.cnf.num_clauses(),
-        distinctness_repairs: repairs,
-        sim_ns: 0,
-        solver_stats: solver.stats(),
-    })
+    let mut solver = ProgressiveSolver::new(k, parity_bits, *options);
+    solver.push_constraints(constraints)?;
+    let encode_time = start.elapsed();
+    let mut report = solver.check();
+    report.determine_time += encode_time;
+    report.total_time += encode_time;
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -964,26 +895,31 @@ impl ProgressiveSolver {
         (self.problem.cnf.num_vars(), self.problem.cnf.num_clauses())
     }
 
-    /// Streams new constraints into the live session. Patterns already
-    /// pushed should not be pushed again (their clauses would be encoded
-    /// twice — harmless but wasteful).
+    /// Streams new constraints into the live session: encodes every entry,
+    /// then (when enabled) re-runs preprocessing over everything pushed so
+    /// far. Patterns already pushed should not be pushed again (their
+    /// clauses would be encoded twice — harmless but wasteful).
     ///
     /// # Errors
     ///
-    /// Returns a [`SolveError`] if the constraints' dataword length
-    /// differs from `k` or a pattern order is unsupported by the selected
-    /// encoding. Entries before the offending one are already encoded
-    /// (they remain valid constraints); the failed entry is untouched.
+    /// Returns a [`SolveError`] if the constraints' or an entry's dataword
+    /// length differs from `k`, or an entry's pattern order is unsupported
+    /// by the selected encoding. Every entry is checked before any is
+    /// encoded, so a refused push leaves the solver unchanged.
     pub fn push_constraints(&mut self, constraints: &ProfileConstraints) -> Result<(), SolveError> {
-        if constraints.k != self.problem.k {
+        let k = self.problem.k;
+        if constraints.k != k {
             return Err(SolveError::DatawordMismatch {
-                expected: self.problem.k,
+                expected: k,
                 found: constraints.k,
             });
         }
+        for (pattern, observations) in &constraints.entries {
+            check_entry(k, pattern, observations, self.options.encoding)?;
+        }
         let encode_start = Instant::now();
         for (pattern, observations) in &constraints.entries {
-            encode_observation_entry(&mut self.problem, pattern, observations, &self.options)?;
+            encode_observation_entry(&mut self.problem, pattern, observations, &self.options);
             self.facts_encoded += observations
                 .iter()
                 .filter(|&&o| o != Observation::Unknown)
@@ -1451,6 +1387,47 @@ mod tests {
     }
 
     #[test]
+    fn refused_push_leaves_the_solver_unchanged() {
+        // Every entry is validated before any is encoded: a push whose last
+        // entry exceeds the subset-representative cap encodes nothing, not
+        // the valid prefix.
+        let k = 24;
+        let code = hamming::shortened(k);
+        let valid = analytic_profile(&code, &PatternSet::One.patterns(k));
+        let big = ChargedSet::new((0..18).collect(), k);
+        let mut mixed = valid.clone();
+        mixed
+            .entries
+            .extend(analytic_profile(&code, std::slice::from_ref(&big)).entries);
+        let mut solver = ProgressiveSolver::new(
+            k,
+            code.parity_bits(),
+            BeerSolverOptions {
+                encoding: ObservationEncoding::SubsetReps,
+                max_solutions: 8,
+                ..BeerSolverOptions::default()
+            },
+        );
+        let (facts, size) = (solver.facts_encoded(), solver.cnf_size());
+        assert_eq!(
+            solver.push_constraints(&mixed),
+            Err(SolveError::PatternOrderUnsupported {
+                order: 18,
+                max: MAX_SUBSET_ORDER
+            })
+        );
+        assert_eq!(solver.facts_encoded(), facts);
+        assert_eq!(solver.cnf_size(), size);
+
+        solver.push_constraints(&valid).unwrap();
+        let report = solver.check();
+        assert!(report
+            .solutions
+            .iter()
+            .any(|s| equivalence::equivalent(s, &code)));
+    }
+
+    #[test]
     fn dataword_mismatch_is_a_typed_error() {
         let profile = ProfileConstraints {
             k: 5,
@@ -1467,6 +1444,22 @@ mod tests {
         );
         let mut progressive = ProgressiveSolver::new(4, 3, BeerSolverOptions::default());
         assert!(progressive.push_constraints(&profile).is_err());
+        // An entry whose pattern is over another dataword length is
+        // refused too, not encoded with out-of-range columns.
+        let stray = ProfileConstraints {
+            k: 4,
+            entries: vec![(
+                ChargedSet::new(vec![0], 5),
+                vec![Observation::NoMiscorrection; 5],
+            )],
+        };
+        assert_eq!(
+            progressive.push_constraints(&stray),
+            Err(SolveError::DatawordMismatch {
+                expected: 4,
+                found: 5
+            })
+        );
     }
 
     #[test]
@@ -1552,6 +1545,9 @@ mod tests {
 
     #[test]
     fn progressive_agrees_with_one_shot_for_random_codes() {
+        // The whole profile in one push (`solve_profile`) and one push per
+        // entry must find the same code: pins derived after each push fold
+        // into later entries only, so the two CNFs differ.
         let mut rng = StdRng::seed_from_u64(515);
         for k in [5usize, 8, 11] {
             let code = hamming::random_sec(k, &mut rng);

@@ -15,7 +15,7 @@
 //!   backpressure. Decoding is total — corrupt, truncated, oversized,
 //!   and unknown-future frames are typed [`wire::WireError`]s, never
 //!   panics.
-//! * [`server`] — [`NetServer`](server::NetServer), an event-driven TCP
+//! * [`server`] — [`NetServer`], an event-driven TCP
 //!   front for a [`RecoveryService`](beer_service::RecoveryService): one
 //!   [`reactor`] thread multiplexes every connection over epoll
 //!   (nonblocking sockets, per-connection state machines, pooled frame
@@ -27,12 +27,12 @@
 //!   ([`reactor::Poller`]), an eventfd [`reactor::Waker`] that delivers
 //!   job events to watching connections without polling, and the
 //!   [`reactor::BufPool`] of reusable frame buffers.
-//! * [`ring`] — the cluster hash [`Ring`](ring::Ring): epoch-numbered
+//! * [`ring`] — the cluster hash [`Ring`]: epoch-numbered
 //!   consistent-hash membership over trace fingerprints, shared by the
 //!   server (ownership checks, forwarding), the client (direct routing),
 //!   and `beer_cluster`. The wire carries it in `HelloAck` and pushes
 //!   changes as `RingChanged`.
-//! * [`client`] — [`Client`](client::Client), a typed blocking client
+//! * [`client`] — [`Client`], a typed blocking client
 //!   that retains submitted traces and *resumes by fingerprint* after a
 //!   dropped connection: the service's dedup re-attaches it to the
 //!   in-flight job (or its cached result) instead of re-solving.

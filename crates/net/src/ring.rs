@@ -1,10 +1,9 @@
 //! The cluster hash ring: deterministic fingerprint → node ownership.
 //!
 //! A [`Ring`] is an epoch-numbered membership list expanded into a
-//! consistent-hash ring with virtual nodes. Every
-//! [`Fingerprint`](beer_core::trace::Fingerprint) hashes to a point on
-//! the ring and is owned by the first member point at or after it
-//! (wrapping). Ownership is a pure function of `(members, vnodes)` —
+//! consistent-hash ring with virtual nodes. Every [`Fingerprint`] hashes
+//! to a point on the ring and is owned by the first member point at or
+//! after it (wrapping). Ownership is a pure function of `(members, vnodes)` —
 //! every node and every client holding the same ring computes the same
 //! owner, which is what keeps dedup and the result cache single-home
 //! per trace.

@@ -20,7 +20,6 @@
 //!   retractable constraint groups: the substrate of BEER's progressive
 //!   collect-and-solve pipeline (§6.3), where each uniqueness check's
 //!   blocking clauses are retracted while learned clauses persist.
-//! * [`dimacs`] — DIMACS CNF import/export for debugging and testing.
 //!
 //! # Examples
 //!
@@ -41,7 +40,6 @@
 //! ```
 
 mod cnf;
-pub mod dimacs;
 mod enumerate;
 mod session;
 mod solver;

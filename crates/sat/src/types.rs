@@ -98,27 +98,6 @@ impl Lit {
     pub fn from_code(code: usize) -> Self {
         Lit(code as u32)
     }
-
-    /// DIMACS representation: 1-based, negative when negated.
-    pub fn to_dimacs(self) -> i64 {
-        let v = (self.var().index() + 1) as i64;
-        if self.is_positive() {
-            v
-        } else {
-            -v
-        }
-    }
-
-    /// Parses a DIMACS literal (non-zero, 1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value == 0`.
-    pub fn from_dimacs(value: i64) -> Self {
-        assert!(value != 0, "DIMACS literal cannot be zero");
-        let var = Var::new(value.unsigned_abs() as usize - 1);
-        Lit::new(var, value > 0)
-    }
 }
 
 impl Not for Lit {
@@ -206,20 +185,6 @@ mod tests {
         let v = Var::new(3);
         assert_eq!(v.positive().code(), 6);
         assert_eq!(v.negative().code(), 7);
-    }
-
-    #[test]
-    fn dimacs_conversion() {
-        let l = Var::new(0).negative();
-        assert_eq!(l.to_dimacs(), -1);
-        assert_eq!(Lit::from_dimacs(-1), l);
-        assert_eq!(Lit::from_dimacs(42), Var::new(41).positive());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be zero")]
-    fn dimacs_zero_rejected() {
-        Lit::from_dimacs(0);
     }
 
     #[test]

@@ -81,8 +81,8 @@ pub struct CodeEntry {
     pub hash: u64,
     /// The canonical representative.
     pub code: LinearCode,
-    /// Profile fingerprints that recovered this function (first
-    /// [`EVIDENCE_CAP`] seen) — the "same ECC function across many
+    /// Profile fingerprints that recovered this function (the first
+    /// `EVIDENCE_CAP` seen) — the "same ECC function across many
     /// chips" evidence.
     pub fingerprints: Vec<Fingerprint>,
 }

@@ -1,8 +1,8 @@
 //! Cross-backend equivalence: the profiling engine must extract the same
 //! miscorrection facts from every backend — live simulated chip, exact
-//! analytic model, EINSim Monte-Carlo, and recorded-trace replay — and the
-//! progressive solver must agree with the one-shot solver while encoding
-//! strictly less.
+//! analytic model, EINSim Monte-Carlo, and recorded-trace replay — and a
+//! chunked recovery session must agree with a solve of the full schedule
+//! while encoding strictly less.
 
 use beer::prelude::*;
 use beer::timing::TimingParams;
@@ -174,14 +174,14 @@ fn progressive_matches_one_shot_with_fewer_constraints() {
     let k = secret.k();
     let parity = secret.parity_bits();
 
-    // One-shot: the full {1,2}-CHARGED schedule, encoded in one go.
+    // The full {1,2}-CHARGED schedule, pushed and checked once.
     let full = PatternSet::OneTwo.patterns(k);
     let full_constraints = analytic_profile(&secret, &full);
     let one_shot = solve_profile(k, parity, &full_constraints, &BeerSolverOptions::default())
         .expect("well-formed profile");
     assert!(one_shot.is_unique());
 
-    // Progressive: batches stream in until the solution is unique.
+    // Chunked: batches stream in until the solution is unique.
     let mut backend = AnalyticBackend::new(secret.clone());
     let report = RecoveryConfig::new()
         .with_parity_bits(parity)
