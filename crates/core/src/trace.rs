@@ -921,23 +921,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fingerprint_is_invariant_under_unit_split_and_pattern_order() {
-        let (trace, _) = sample_trace();
-        let fp = trace.fingerprint();
-
-        // Fold every unit into one: same evidence, different split.
-        let folded = ProfileTrace {
+    /// Every unit folded into one: same evidence, different split.
+    fn folded(trace: &ProfileTrace) -> ProfileTrace {
+        ProfileTrace {
             k: trace.k,
             patterns: trace.patterns.clone(),
             units: vec![UnitTrace::from_profile(&trace.to_profile())],
-        };
-        assert_ne!(folded.units.len(), trace.units.len());
-        assert_eq!(folded.fingerprint(), fp, "unit split must not matter");
+        }
+    }
 
-        // Reverse the pattern list (remapping every record's index).
+    /// The pattern list reversed, with every record's index remapped.
+    fn reversed(trace: &ProfileTrace) -> ProfileTrace {
         let n = trace.patterns.len();
-        let reversed = ProfileTrace {
+        ProfileTrace {
             k: trace.k,
             patterns: trace.patterns.iter().rev().cloned().collect(),
             units: trace
@@ -952,8 +948,89 @@ mod tests {
                     trials: u.trials.iter().map(|&(pi, t)| (n - 1 - pi, t)).collect(),
                 })
                 .collect(),
+        }
+    }
+
+    #[test]
+    fn fingerprint_is_invariant_under_unit_split_and_pattern_order() {
+        let (trace, _) = sample_trace();
+        let fp = trace.fingerprint();
+        let folded = folded(&trace);
+        assert_ne!(folded.units.len(), trace.units.len());
+        assert_eq!(folded.fingerprint(), fp, "unit split must not matter");
+        assert_eq!(
+            reversed(&trace).fingerprint(),
+            fp,
+            "pattern order must not matter"
+        );
+    }
+
+    /// Fingerprints are persisted registry keys and the cluster's ring
+    /// keys: these values were computed by the original map-and-hash
+    /// implementation and must never change.
+    #[test]
+    fn fingerprint_golden_vectors() {
+        let golden = |trace: &ProfileTrace, expected: u128, what: &str| {
+            assert_eq!(trace.fingerprint(), Fingerprint(expected), "{what}");
         };
-        assert_eq!(reversed.fingerprint(), fp, "pattern order must not matter");
+        let (sample, _) = sample_trace();
+        golden(
+            &sample,
+            0x0b1e_d2db_afa2_8030_08e6_1250_4bab_15e1,
+            "k = 8 sample trace",
+        );
+
+        let patterns = PatternSet::OneTwo.patterns(16);
+        let mut backend = AnalyticBackend::new(hamming::shortened(16));
+        let k16 = ProfileTrace::record(&mut backend, &patterns, &CollectionPlan::quick());
+        golden(
+            &k16,
+            0xd7e2_2d3e_0962_837e_4ece_65b4_0fec_4255,
+            "k = 16 OneTwo trace",
+        );
+        golden(
+            &folded(&k16),
+            0xd7e2_2d3e_0962_837e_4ece_65b4_0fec_4255,
+            "k = 16 unit-folded twin",
+        );
+        golden(
+            &reversed(&k16),
+            0xd7e2_2d3e_0962_837e_4ece_65b4_0fec_4255,
+            "k = 16 pattern-reversed twin",
+        );
+
+        let duplicated = ProfileTrace::from_text(
+            "k 4\npattern 1\npattern 0 2\npattern 1\n\
+             unit\nm 0 2 5\nt 0 3\nm 1 3 1\nt 1 9\nunit\nm 2 2 7\nm 2 0 1\nt 2 4\n",
+        )
+        .expect("well-formed");
+        golden(
+            &duplicated,
+            0x38f5_b1ab_7059_0311_1063_1ccb_8922_6569,
+            "duplicate-pattern trace",
+        );
+
+        let empty_units =
+            ProfileTrace::from_text("k 4\npattern 1\npattern 0 3\n").expect("well-formed");
+        golden(
+            &empty_units,
+            0xbf45_2cd5_a77a_c5c5_3ba0_8b0d_0bcb_7c6a,
+            "empty-units trace",
+        );
+
+        let wide = ProfileTrace {
+            k: 4,
+            patterns: vec![ChargedSet::new(vec![0], 4), ChargedSet::new(vec![1, 3], 4)],
+            units: vec![UnitTrace {
+                miscorrections: vec![(0, 2, 1 << 56), (0, 3, 0x0123_4567_89ab_cdef), (1, 0, 3)],
+                trials: vec![(0, u64::MAX), (1, 1 << 60)],
+            }],
+        };
+        golden(
+            &wide,
+            0xc323_f7df_04c1_9da8_23b7_4be3_7722_0c3e,
+            "trace with all-8-byte counts and trial totals",
+        );
     }
 
     #[test]
