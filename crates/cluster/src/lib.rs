@@ -38,7 +38,7 @@
 //! See DESIGN.md §"Cluster architecture" and the `cluster_throughput`
 //! bench for the scaling methodology.
 
-use beer_core::trace::{Fingerprint, ProfileTrace};
+use beer_core::trace::{Fingerprint, ProfileTrace, VerifiedTrace};
 use beer_net::{
     Client, ClientConfig, ClientError, ClusterConfig, ErrorKind, NetServer, NetServerConfig,
     RemoteJob, Ring, RingError, RingMember, WireResult, WireStats,
@@ -412,12 +412,15 @@ impl ClusterClient {
         priority: Priority,
         deadline: Option<Duration>,
     ) -> Result<ClusterJob, ClusterError> {
+        // Hashed once: the same fingerprint routes the submit and keys
+        // every upload and submit below.
+        let trace = VerifiedTrace::from(trace.clone());
         let fingerprint = trace.fingerprint();
         let mut addr = self.route(fingerprint);
         let mut transport_error = None;
         for _ in 0..=MAX_REDIRECTS {
             let outcome = match self.client(&addr) {
-                Ok(client) => client.submit_with(trace, priority, deadline),
+                Ok(client) => client.submit_verified(&trace, priority, deadline),
                 Err(e) => {
                     transport_error = Some((addr.clone(), e));
                     break;
@@ -466,8 +469,8 @@ impl ClusterClient {
             .collect();
         for fallback in fallbacks {
             let outcome = self.client(&fallback).and_then(|client| {
-                client.upload_trace(trace)?;
-                client.submit_with(trace, priority, deadline)
+                client.upload_verified(&trace)?;
+                client.submit_verified(&trace, priority, deadline)
             });
             match outcome {
                 Ok(job) => {

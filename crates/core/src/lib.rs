@@ -84,6 +84,7 @@ pub use recovery::{
 pub use solve::{solve_profile, BeerSolverOptions, SolveReport};
 pub use trace::{
     ChunkError, Fingerprint, ProfileTrace, ReplayBackend, TraceAssembler, TraceParseError,
+    VerifiedTrace,
 };
 
 /// The former name of a clocked [`ChipBackend`], kept only so existing

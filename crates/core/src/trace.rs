@@ -11,7 +11,7 @@ use crate::collect::CollectionPlan;
 use crate::engine::{EngineError, EngineOptions, ProfileSource};
 use crate::pattern::ChargedSet;
 use crate::profile::MiscorrectionProfile;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -97,10 +97,28 @@ impl Fnv128 {
         Fnv128(Self::OFFSET)
     }
 
-    fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 = (self.0 ^ u128::from(byte)).wrapping_mul(Self::PRIME);
+    /// `PRIME^i` for `i` in `0..=8`.
+    const PRIME_POW: [u128; 9] = {
+        let mut pow = [1u128; 9];
+        let mut i = 1;
+        while i < pow.len() {
+            pow[i] = pow[i - 1].wrapping_mul(Self::PRIME);
+            i += 1;
         }
+        pow
+    };
+
+    /// Hashes `v` as its 8 little-endian bytes. A zero byte only
+    /// multiplies (`(h ^ 0)·P = h·P`), so the high zero bytes fold into
+    /// one multiply by `PRIME^zeros`: most words hashed are zero counts
+    /// or small indices.
+    fn write_u64(&mut self, v: u64) {
+        let n = 8 - (v.leading_zeros() / 8) as usize;
+        let mut h = self.0;
+        for &byte in &v.to_le_bytes()[..n] {
+            h = (h ^ u128::from(byte)).wrapping_mul(Self::PRIME);
+        }
+        self.0 = h.wrapping_mul(Self::PRIME_POW[8 - n]);
     }
 
     fn finish(&self) -> u128 {
@@ -226,32 +244,62 @@ impl ProfileTrace {
     /// as its serial twin, while any change to `k`, the pattern set, a
     /// miscorrection count, or a trial total produces a different value.
     ///
+    /// The value is FNV-1a-128 over a stream of little-endian `u64`
+    /// words: `k`, the number of distinct patterns, then for each
+    /// distinct pattern in ascending order of its charged-bit list: the
+    /// number of charged bits, each charged bit, the pattern's trial
+    /// total, and its `k` per-bit miscorrection counts. Values are
+    /// persisted registry keys and cluster routing keys, so this stream
+    /// never changes.
+    ///
     /// This is the dedup key of `beer_service`: byte-different submissions
-    /// of the same profile coalesce onto one recovery job.
+    /// of the same profile coalesce onto one recovery job. Hash a trace
+    /// once and carry the result in a [`VerifiedTrace`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, like [`ProfileTrace::to_profile`], if a pattern's length
+    /// is not `k`, a record's pattern index is out of range, or a
+    /// miscorrection bit is `>= k`.
     pub fn fingerprint(&self) -> Fingerprint {
-        let profile = self.to_profile();
-        // Merge by pattern value in canonical (sorted charged-set) order.
-        let mut entries: BTreeMap<&[usize], (u64, Vec<u64>)> = BTreeMap::new();
-        for (pi, pattern) in self.patterns.iter().enumerate() {
-            let entry = entries
-                .entry(pattern.bits())
-                .or_insert_with(|| (0, vec![0; self.k]));
-            entry.0 += profile.trials(pi);
-            for (bit, count) in entry.1.iter_mut().enumerate() {
-                *count += profile.count(pi, bit);
+        let k = self.k;
+        for p in &self.patterns {
+            assert_eq!(p.k(), k, "pattern length mismatch");
+        }
+        // Canonical order; equal charged-bit sets share one row.
+        let mut order: Vec<usize> = (0..self.patterns.len()).collect();
+        order.sort_unstable_by(|&a, &b| self.patterns[a].bits().cmp(self.patterns[b].bits()));
+        let mut row_of = vec![0; self.patterns.len()];
+        let mut rows: Vec<&[usize]> = Vec::with_capacity(order.len());
+        for pi in order {
+            let bits = self.patterns[pi].bits();
+            if rows.last() != Some(&bits) {
+                rows.push(bits);
+            }
+            row_of[pi] = rows.len() - 1;
+        }
+        // One row per distinct pattern: the trial total, then k counts.
+        let stride = k + 1;
+        let mut evidence = vec![0u64; rows.len() * stride];
+        for unit in &self.units {
+            for &(pi, bit, count) in &unit.miscorrections {
+                assert!(bit < k, "bit out of range");
+                evidence[row_of[pi] * stride + 1 + bit] += count;
+            }
+            for &(pi, trials) in &unit.trials {
+                evidence[row_of[pi] * stride] += trials;
             }
         }
         let mut h = Fnv128::new();
-        h.write_u64(self.k as u64);
-        h.write_u64(entries.len() as u64);
-        for (bits, (trials, counts)) in &entries {
+        h.write_u64(k as u64);
+        h.write_u64(rows.len() as u64);
+        for (bits, row) in rows.iter().zip(evidence.chunks_exact(stride)) {
             h.write_u64(bits.len() as u64);
             for &b in *bits {
                 h.write_u64(b as u64);
             }
-            h.write_u64(*trials);
-            for &c in counts {
-                h.write_u64(c);
+            for &word in row {
+                h.write_u64(word);
             }
         }
         Fingerprint(h.finish())
@@ -429,10 +477,55 @@ impl ProfileTrace {
     ///
     /// Panics if `max_bytes` is zero.
     pub fn to_chunks(&self, max_bytes: usize) -> (Fingerprint, Vec<Vec<u8>>) {
+        (self.fingerprint(), self.to_text_chunks(max_bytes))
+    }
+
+    /// The chunks of [`ProfileTrace::to_chunks`] without hashing, for a
+    /// sender that already holds the trace's fingerprint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_bytes` is zero.
+    pub fn to_text_chunks(&self, max_bytes: usize) -> Vec<Vec<u8>> {
         assert!(max_bytes > 0, "chunk size must be positive");
         let text = self.to_text().into_bytes();
-        let chunks = text.chunks(max_bytes).map(<[u8]>::to_vec).collect();
-        (self.fingerprint(), chunks)
+        text.chunks(max_bytes).map(<[u8]>::to_vec).collect()
+    }
+}
+
+/// A shared trace paired with its evidence [`Fingerprint`], so the
+/// fingerprint is computed once per trace rather than once per use.
+///
+/// The pair always agrees: a `VerifiedTrace` is built only by hashing the
+/// trace ([`VerifiedTrace::new`]) or by a completed upload whose declared
+/// fingerprint [`TraceAssembler::accept`] has checked against the bytes.
+#[derive(Clone, Debug)]
+pub struct VerifiedTrace {
+    trace: Arc<ProfileTrace>,
+    fingerprint: Fingerprint,
+}
+
+impl VerifiedTrace {
+    /// Fingerprints `trace`.
+    pub fn new(trace: Arc<ProfileTrace>) -> VerifiedTrace {
+        let fingerprint = trace.fingerprint();
+        VerifiedTrace { trace, fingerprint }
+    }
+
+    /// The trace's evidence fingerprint.
+    pub fn fingerprint(&self) -> Fingerprint {
+        self.fingerprint
+    }
+
+    /// The shared trace.
+    pub fn trace(&self) -> &Arc<ProfileTrace> {
+        &self.trace
+    }
+}
+
+impl From<ProfileTrace> for VerifiedTrace {
+    fn from(trace: ProfileTrace) -> VerifiedTrace {
+        VerifiedTrace::new(Arc::new(trace))
     }
 }
 
@@ -579,7 +672,8 @@ impl TraceAssembler {
     }
 
     /// Accepts one chunk. Returns `Ok(Some(trace))` when the final chunk
-    /// completes a verified trace, `Ok(None)` while chunks are missing.
+    /// completes a trace whose fingerprint matches the declared one,
+    /// `Ok(None)` while chunks are missing.
     ///
     /// # Errors
     ///
@@ -589,7 +683,7 @@ impl TraceAssembler {
         &mut self,
         index: u32,
         data: Vec<u8>,
-    ) -> Result<Option<ProfileTrace>, ChunkError> {
+    ) -> Result<Option<VerifiedTrace>, ChunkError> {
         let total = self.chunks.len() as u32;
         let slot = self
             .chunks
@@ -626,14 +720,14 @@ impl TraceAssembler {
         }
         let text = String::from_utf8(bytes).map_err(|_| ChunkError::NotText)?;
         let trace = ProfileTrace::from_text(&text).map_err(ChunkError::Parse)?;
-        let actual = trace.fingerprint();
-        if actual != self.fingerprint {
+        let verified = VerifiedTrace::from(trace);
+        if verified.fingerprint != self.fingerprint {
             return Err(ChunkError::FingerprintMismatch {
                 declared: self.fingerprint,
-                actual,
+                actual: verified.fingerprint,
             });
         }
-        Ok(Some(trace))
+        Ok(Some(verified))
     }
 }
 
@@ -1033,6 +1127,85 @@ mod tests {
         );
     }
 
+    /// The original FNV-1a step: every byte of `v`, zero or not.
+    fn write_u64_bytewise(h: u128, v: u64) -> u128 {
+        v.to_le_bytes().iter().fold(h, |h, &byte| {
+            (h ^ u128::from(byte)).wrapping_mul(Fnv128::PRIME)
+        })
+    }
+
+    fn assert_write_matches_bytewise(state: u128, v: u64) {
+        let mut fast = Fnv128(state);
+        fast.write_u64(v);
+        assert_eq!(fast.finish(), write_u64_bytewise(state, v), "word {v:#x}");
+    }
+
+    #[test]
+    fn write_u64_matches_bytewise_at_the_byte_boundaries() {
+        let edges = [
+            0,
+            1,
+            255,
+            256,
+            0xffff,
+            1 << 55,
+            1 << 56,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for v in edges {
+            assert_write_matches_bytewise(Fnv128::OFFSET, v);
+            assert_write_matches_bytewise(u128::MAX, v);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// The zero-skipping write equals the byte-at-a-time reference for
+        /// words of every byte width, from any hash state.
+        #[test]
+        fn write_u64_matches_bytewise(
+            state_hi in proptest::prelude::any::<u64>(),
+            state_lo in proptest::prelude::any::<u64>(),
+            raw in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let state = (u128::from(state_hi) << 64) | u128::from(state_lo);
+            assert_write_matches_bytewise(state, raw >> shift);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bit out of range")]
+    fn fingerprint_panics_on_a_miscorrection_bit_past_k() {
+        // Bit k of pattern 0 would land in pattern 1's trial slot of a
+        // flat row buffer; it must panic instead.
+        let trace = ProfileTrace {
+            k: 4,
+            patterns: vec![ChargedSet::new(vec![0], 4), ChargedSet::new(vec![1], 4)],
+            units: vec![UnitTrace {
+                miscorrections: vec![(0, 4, 1)],
+                trials: vec![(0, 1)],
+            }],
+        };
+        let _ = trace.fingerprint();
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn fingerprint_panics_on_a_pattern_index_out_of_range() {
+        let trace = ProfileTrace {
+            k: 4,
+            patterns: vec![ChargedSet::new(vec![0], 4)],
+            units: vec![UnitTrace {
+                miscorrections: vec![(1, 0, 1)],
+                trials: vec![],
+            }],
+        };
+        let _ = trace.fingerprint();
+    }
+
     #[test]
     fn fingerprint_changes_with_the_evidence() {
         let (trace, _) = sample_trace();
@@ -1215,7 +1388,9 @@ mod tests {
             assert_eq!(got.is_some(), asm.progress().0 == chunks.len());
             done = got.or(done);
         }
-        assert_eq!(done.expect("assembled"), trace);
+        let done = done.expect("assembled");
+        assert_eq!(done.fingerprint(), fp);
+        assert_eq!(**done.trace(), trace);
     }
 
     #[test]

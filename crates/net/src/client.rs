@@ -13,7 +13,7 @@ use crate::wire::{
     self, read_message, write_message, ErrorKind, Message, RecvError, WireCodeEntry, WireEvent,
     WireRecord, WireResult, WireStats,
 };
-use beer_core::trace::{Fingerprint, ProfileTrace};
+use beer_core::trace::{Fingerprint, ProfileTrace, VerifiedTrace};
 use beer_obs::TraceId;
 use beer_service::Priority;
 use std::collections::hash_map::RandomState;
@@ -190,7 +190,8 @@ pub struct Client {
     token: String,
     config: ClientConfig,
     stream: Option<TcpStream>,
-    /// Traces submitted through this client, retained for resume.
+    /// Traces submitted through this client, retained for resume and
+    /// keyed by the fingerprint this client computed from each.
     traces: HashMap<Fingerprint, Arc<ProfileTrace>>,
     /// The newest cluster ring learned from HelloAck / RingChanged.
     ring: Option<Ring>,
@@ -379,9 +380,37 @@ impl Client {
         }
     }
 
-    /// Uploads a trace in chunks; the server verifies the fingerprint.
-    fn upload(&mut self, trace: &ProfileTrace) -> Result<Fingerprint, ClientError> {
-        let (fingerprint, chunks) = trace.to_chunks(self.config.chunk_bytes);
+    /// Keys `trace` by its fingerprint, hashing it once, and retains a
+    /// copy if it is new to this client.
+    fn retain(&mut self, trace: &ProfileTrace) -> Fingerprint {
+        let fingerprint = trace.fingerprint();
+        self.traces
+            .entry(fingerprint)
+            .or_insert_with(|| Arc::new(trace.clone()));
+        fingerprint
+    }
+
+    /// [`Client::retain`] for a trace that carries its fingerprint.
+    fn retain_verified(&mut self, trace: &VerifiedTrace) -> Fingerprint {
+        let fingerprint = trace.fingerprint();
+        self.traces
+            .entry(fingerprint)
+            .or_insert_with(|| Arc::clone(trace.trace()));
+        fingerprint
+    }
+
+    /// Uploads the retained trace keyed by `fingerprint` in chunks; the
+    /// server verifies the fingerprint.
+    fn upload(&mut self, fingerprint: Fingerprint) -> Result<(), ClientError> {
+        let trace = self
+            .traces
+            .get(&fingerprint)
+            .cloned()
+            .ok_or(ClientError::Refused {
+                kind: ErrorKind::UnknownFingerprint { fingerprint },
+                detail: "trace not retained client-side".to_string(),
+            })?;
+        let chunks = trace.to_text_chunks(self.config.chunk_bytes);
         let total_bytes: u64 = chunks.iter().map(|c| c.len() as u64).sum();
         let begin = Message::TraceBegin {
             fingerprint,
@@ -432,7 +461,7 @@ impl Client {
                 }
             }
         }
-        Ok(fingerprint)
+        Ok(())
     }
 
     /// Submits a trace with default priority and no deadline.
@@ -461,10 +490,23 @@ impl Client {
         priority: Priority,
         deadline: Option<Duration>,
     ) -> Result<RemoteJob, ClientError> {
-        let fingerprint = trace.fingerprint();
-        self.traces
-            .entry(fingerprint)
-            .or_insert_with(|| Arc::new(trace.clone()));
+        let fingerprint = self.retain(trace);
+        self.submit_fingerprint(fingerprint, priority, deadline, TraceId::mint().0)
+    }
+
+    /// [`Client::submit_with`] for a trace that already carries its
+    /// fingerprint: nothing is hashed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::submit`].
+    pub fn submit_verified(
+        &mut self,
+        trace: &VerifiedTrace,
+        priority: Priority,
+        deadline: Option<Duration>,
+    ) -> Result<RemoteJob, ClientError> {
+        let fingerprint = self.retain_verified(trace);
         self.submit_fingerprint(fingerprint, priority, deadline, TraceId::mint().0)
     }
 
@@ -477,11 +519,20 @@ impl Client {
     ///
     /// Typed refusals and transport failures.
     pub fn upload_trace(&mut self, trace: &ProfileTrace) -> Result<Fingerprint, ClientError> {
-        let fingerprint = trace.fingerprint();
-        self.traces
-            .entry(fingerprint)
-            .or_insert_with(|| Arc::new(trace.clone()));
-        self.upload(trace)
+        let fingerprint = self.retain(trace);
+        self.upload(fingerprint)?;
+        Ok(fingerprint)
+    }
+
+    /// [`Client::upload_trace`] for a trace that already carries its
+    /// fingerprint: nothing is hashed.
+    ///
+    /// # Errors
+    ///
+    /// Typed refusals and transport failures.
+    pub fn upload_verified(&mut self, trace: &VerifiedTrace) -> Result<(), ClientError> {
+        let fingerprint = self.retain_verified(trace);
+        self.upload(fingerprint)
     }
 
     /// Submits a trace as an *already-forwarded* cluster job (the wire's
@@ -498,16 +549,13 @@ impl Client {
     /// transport failures.
     pub fn submit_forwarded(
         &mut self,
-        trace: &ProfileTrace,
+        trace: &VerifiedTrace,
         priority: Priority,
         deadline: Option<Duration>,
         epoch: u64,
         trace_id: u128,
     ) -> Result<RemoteJob, ClientError> {
-        let fingerprint = trace.fingerprint();
-        self.traces
-            .entry(fingerprint)
-            .or_insert_with(|| Arc::new(trace.clone()));
+        let fingerprint = self.retain_verified(trace);
         let submit = Message::SubmitForwarded {
             fingerprint,
             priority,
@@ -531,12 +579,7 @@ impl Client {
                     kind: ErrorKind::UnknownFingerprint { .. },
                     ..
                 } if !uploaded => {
-                    let trace = self
-                        .traces
-                        .get(&fingerprint)
-                        .cloned()
-                        .expect("retained just above");
-                    self.upload(&trace)?;
+                    self.upload(fingerprint)?;
                     uploaded = true;
                 }
                 Message::Error { kind, detail } => {
@@ -584,15 +627,7 @@ impl Client {
                     kind: ErrorKind::UnknownFingerprint { .. },
                     ..
                 } if !uploaded => {
-                    let trace =
-                        self.traces
-                            .get(&fingerprint)
-                            .cloned()
-                            .ok_or(ClientError::Refused {
-                                kind: ErrorKind::UnknownFingerprint { fingerprint },
-                                detail: "trace not retained client-side".to_string(),
-                            })?;
-                    self.upload(&trace)?;
+                    self.upload(fingerprint)?;
                     uploaded = true;
                 }
                 Message::Error { kind, detail } => {

@@ -52,7 +52,7 @@ use crate::wire::{
     self, ErrorKind, Message, WireError, WireEvent, WireJobError, WireOutcome, WireOutput,
     WireRecord, WireResult, WireStats,
 };
-use beer_core::trace::{Fingerprint, ProfileTrace, TraceAssembler};
+use beer_core::trace::{Fingerprint, TraceAssembler, VerifiedTrace};
 use beer_obs::TraceId;
 use beer_service::{CodeEntry, JobEvent, JobId, JobRequest, Priority, RecoveryService, ServiceObs};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -220,21 +220,18 @@ impl NetServerConfig {
     }
 }
 
-/// Uploaded traces shared across connections, keyed by fingerprint, with
-/// FIFO eviction past the capacity bound.
+/// Uploaded traces shared across connections, keyed by their verified
+/// fingerprint, with FIFO eviction past the capacity bound.
 struct Uploads {
-    by_fingerprint: HashMap<Fingerprint, Arc<ProfileTrace>>,
+    by_fingerprint: HashMap<Fingerprint, VerifiedTrace>,
     order: VecDeque<Fingerprint>,
     capacity: usize,
 }
 
 impl Uploads {
-    fn insert(&mut self, fingerprint: Fingerprint, trace: ProfileTrace) {
-        if self
-            .by_fingerprint
-            .insert(fingerprint, Arc::new(trace))
-            .is_none()
-        {
+    fn insert(&mut self, trace: VerifiedTrace) {
+        let fingerprint = trace.fingerprint();
+        if self.by_fingerprint.insert(fingerprint, trace).is_none() {
             self.order.push_back(fingerprint);
             while self.by_fingerprint.len() > self.capacity {
                 if let Some(evicted) = self.order.pop_front() {
@@ -244,7 +241,7 @@ impl Uploads {
         }
     }
 
-    fn get(&self, fingerprint: Fingerprint) -> Option<Arc<ProfileTrace>> {
+    fn get(&self, fingerprint: Fingerprint) -> Option<VerifiedTrace> {
         self.by_fingerprint.get(&fingerprint).cloned()
     }
 }
@@ -313,7 +310,7 @@ const MAX_BUFFERED_FORWARD_EVENTS: usize = 256;
 /// owning node and relay the answer back to connection `token`.
 struct ForwardTask {
     token: u64,
-    trace: Arc<ProfileTrace>,
+    trace: VerifiedTrace,
     priority: Priority,
     deadline_ms: Option<u64>,
     owner_name: String,
@@ -1531,7 +1528,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 Ok(None) => {}
                 Ok(Some(trace)) => {
                     conn.assemblies.remove(&fingerprint);
-                    lock(&shared.uploads).insert(fingerprint, trace);
+                    lock(&shared.uploads).insert(trace);
                     conn.queue(pool, config, &Message::TraceAck { fingerprint });
                 }
                 Err(e) => {
@@ -1861,9 +1858,9 @@ fn submit_local(
         );
         return;
     };
-    // The upload cache's Arc is shared into the job: the dedup
-    // hot path (many submissions of one profile) never copies
-    // the trace.
+    // The upload cache's verified trace is shared into the job: the
+    // dedup hot path (many submissions of one profile) never copies
+    // the trace nor re-hashes it.
     let mut request = JobRequest::shared_trace(&conn.tenant, trace).with_priority(priority);
     if let Some(ms) = deadline_ms {
         request = request.with_deadline(Duration::from_millis(ms));

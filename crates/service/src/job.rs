@@ -3,11 +3,10 @@
 
 use beer_core::engine::ProfileSource;
 use beer_core::recovery::{BudgetReason, RecoveryError, RecoveryEvent};
-use beer_core::trace::ProfileTrace;
+use beer_core::trace::{ProfileTrace, VerifiedTrace};
 use beer_ecc::LinearCode;
 use beer_obs::TraceId;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Opaque job identifier, unique within one service instance. Durable
@@ -89,10 +88,12 @@ pub enum JobInput {
     /// [`ReplayBackend`](beer_core::trace::ReplayBackend). Trace jobs are
     /// *dedupable*: identical normalized evidence coalesces onto one
     /// in-flight job, and completed results are served from the registry
-    /// cache forever after. Shared (`Arc`) so front ends holding many
-    /// duplicate submissions of one profile (e.g. the network edge's
-    /// upload cache) never deep-copy the trace per submission.
-    Trace(Arc<ProfileTrace>),
+    /// cache forever after. The input carries its evidence fingerprint,
+    /// computed once when the [`VerifiedTrace`] was built, so admission
+    /// never re-hashes the trace; the trace itself is shared (`Arc`), so
+    /// front ends holding many duplicate submissions of one profile (e.g.
+    /// the network edge's upload cache) never deep-copy it.
+    Trace(VerifiedTrace),
     /// A live backend (a chip on a tester, a simulation). Opaque to the
     /// service: never coalesced, never cached — every submission runs.
     Source {
@@ -125,15 +126,17 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// A trace job with default priority and no deadline.
+    /// A trace job with default priority and no deadline. Fingerprints
+    /// the trace.
     pub fn trace(tenant: impl Into<String>, trace: ProfileTrace) -> Self {
-        JobRequest::shared_trace(tenant, Arc::new(trace))
+        JobRequest::shared_trace(tenant, VerifiedTrace::from(trace))
     }
 
-    /// A trace job over an already-shared trace — duplicate submissions
-    /// of one profile (the dedup hot path) share the allocation instead
-    /// of cloning it.
-    pub fn shared_trace(tenant: impl Into<String>, trace: Arc<ProfileTrace>) -> Self {
+    /// A trace job over an already-fingerprinted, shared trace —
+    /// duplicate submissions of one profile (the dedup hot path) share
+    /// the allocation and the fingerprint instead of cloning and
+    /// re-hashing.
+    pub fn shared_trace(tenant: impl Into<String>, trace: VerifiedTrace) -> Self {
         JobRequest {
             tenant: tenant.into(),
             priority: Priority::default(),

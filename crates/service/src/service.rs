@@ -649,10 +649,14 @@ impl RecoveryService {
             }
         }
         let (slot, fingerprint, patterns) = match input {
-            JobInput::Trace(trace) => {
+            JobInput::Trace(verified) => {
+                let trace = Arc::clone(verified.trace());
                 let patterns = trace.patterns.len();
-                let fingerprint = trace.fingerprint();
-                (InputSlot::Trace(trace), Some(fingerprint), patterns)
+                (
+                    InputSlot::Trace(trace),
+                    Some(verified.fingerprint()),
+                    patterns,
+                )
             }
             JobInput::Source { label, source } => {
                 // `scheduled_patterns` asserts on unschedulable dataword

@@ -87,6 +87,7 @@ pub mod prelude {
         RecoveryEvent, RecoveryFleet, RecoveryOutcome, RecoveryReport, RecoverySession,
         RecoveryStats, ReplayBackend, ScheduleCostModel, ScheduleCostReport, SessionHooks,
         SessionStatus, SolveReport, ThresholdFilter, TimedCostModel, TraceParseError,
+        VerifiedTrace,
     };
     pub use beer_dram::{
         CellLayout, CellType, ChipConfig, ControllerReport, DramInterface, Geometry, RankLevelEcc,

@@ -153,7 +153,13 @@ fn already_forwarded_misroute_is_typed() {
     let owner_addr = cluster.addrs()[1].clone();
 
     let mut client = Client::connect(cluster.addrs()[0].clone(), "mallory", "").expect("connect");
-    let misrouted = client.submit_forwarded(&trace, Priority::Normal, None, 1, 0x7E57);
+    let misrouted = client.submit_forwarded(
+        &VerifiedTrace::from(trace),
+        Priority::Normal,
+        None,
+        1,
+        0x7E57,
+    );
     match misrouted {
         Err(ClientError::Refused {
             kind: ErrorKind::WrongNode { owner },
