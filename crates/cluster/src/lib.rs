@@ -41,9 +41,9 @@
 use beer_core::trace::{Fingerprint, ProfileTrace, VerifiedTrace};
 use beer_net::{
     Client, ClientConfig, ClientError, ClusterConfig, ErrorKind, NetServer, NetServerConfig,
-    RemoteJob, Ring, RingError, RingMember, WireResult, WireStats,
+    RemoteJob, Ring, RingError, RingMember, WireResult,
 };
-use beer_service::{Priority, RecoveryService};
+use beer_service::{Priority, RecoveryService, ServiceStats};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -509,12 +509,12 @@ impl ClusterClient {
         Ok(client.wait_with(job.job, on_event)?)
     }
 
-    /// The stats answer from the node at `addr`.
+    /// The service stats of the node at `addr` (see [`Client::stats`]).
     ///
     /// # Errors
     ///
     /// As [`ClusterClient::wait`].
-    pub fn stats(&mut self, addr: &str) -> Result<WireStats, ClusterError> {
+    pub fn stats(&mut self, addr: &str) -> Result<ServiceStats, ClusterError> {
         Ok(self.client(addr)?.stats()?)
     }
 }

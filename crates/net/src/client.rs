@@ -11,11 +11,11 @@
 use crate::ring::Ring;
 use crate::wire::{
     self, read_message, write_message, ErrorKind, Message, RecvError, WireCodeEntry, WireEvent,
-    WireRecord, WireResult, WireStats,
+    WireRecord, WireResult,
 };
 use beer_core::trace::{Fingerprint, ProfileTrace, VerifiedTrace};
-use beer_obs::TraceId;
-use beer_service::Priority;
+use beer_obs::{MetricsSnapshot, TraceId};
+use beer_service::{Priority, ServiceStats};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
@@ -880,19 +880,20 @@ impl Client {
         }
     }
 
-    /// A service stats snapshot.
+    /// The node's service stats, read from its metrics exposition
+    /// (`QueryMetrics { tail: 0 }`) through the same name table as
+    /// [`RecoveryService::stats`](beer_service::RecoveryService::stats).
     ///
     /// # Errors
     ///
-    /// Typed refusals and transport failures.
-    pub fn stats(&mut self) -> Result<WireStats, ClientError> {
-        match self.roundtrip(&Message::QueryStats)? {
-            Message::StatsInfo(stats) => Ok(stats),
-            Message::Error { kind, detail } => Err(ClientError::Refused { kind, detail }),
-            _ => Err(ClientError::Protocol {
-                expected: "StatsInfo",
-            }),
-        }
+    /// Typed refusals, transport failures, and an exposition that does
+    /// not parse ([`ClientError::Protocol`]).
+    pub fn stats(&mut self) -> Result<ServiceStats, ClientError> {
+        let text = self.query_metrics(0)?;
+        let snapshot = MetricsSnapshot::parse(&text).map_err(|_| ClientError::Protocol {
+            expected: "a parseable metrics exposition",
+        })?;
+        Ok(ServiceStats::from_snapshot(&snapshot))
     }
 
     /// The node's metrics exposition: one text block of counters,

@@ -10,8 +10,10 @@
 //!   format hand-rolled over `std`: Hello/HelloAck version checking,
 //!   chunked trace upload keyed by
 //!   [`ProfileTrace::fingerprint`](beer_core::trace::ProfileTrace::fingerprint),
-//!   submit/watch/cancel, registry queries, stats, and typed error
-//!   frames mirroring the service's [`Rejected`](beer_service::Rejected)
+//!   submit/watch/cancel, registry queries, the node's metrics
+//!   exposition (`QueryMetrics`/`MetricsInfo`, which also carries the
+//!   service stats [`Client::stats`] reads), and typed error frames
+//!   mirroring the service's [`Rejected`](beer_service::Rejected)
 //!   backpressure. Decoding is total — corrupt, truncated, oversized,
 //!   and unknown-future frames are typed [`wire::WireError`]s, never
 //!   panics.
@@ -84,5 +86,5 @@ pub use ring::{Ring, RingError, RingMember};
 pub use server::{ClusterConfig, NetServer, NetServerConfig};
 pub use wire::{
     ErrorKind, Message, RecvError, WireCodeEntry, WireError, WireEvent, WireJobError, WireOutcome,
-    WireOutput, WireRecord, WireResult, WireStats, WIRE_MAGIC, WIRE_VERSION,
+    WireOutput, WireRecord, WireResult, WIRE_MAGIC, WIRE_VERSION,
 };

@@ -50,11 +50,13 @@ use crate::reactor::{BufPool, Event, Poller, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHU
 use crate::ring::Ring;
 use crate::wire::{
     self, ErrorKind, Message, WireError, WireEvent, WireJobError, WireOutcome, WireOutput,
-    WireRecord, WireResult, WireStats,
+    WireRecord, WireResult,
 };
 use beer_core::trace::{Fingerprint, TraceAssembler, VerifiedTrace};
-use beer_obs::TraceId;
-use beer_service::{CodeEntry, JobEvent, JobId, JobRequest, Priority, RecoveryService, ServiceObs};
+use beer_obs::{Counter, Histogram, TraceId};
+use beer_service::{
+    CodeEntry, JobEvent, JobId, JobRequest, Priority, RecoveryService, ServiceObs, ServiceStats,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -291,6 +293,13 @@ struct Shared {
     forward: Option<Arc<ForwardHub>>,
 }
 
+impl Shared {
+    /// The forwarding hub, present on every cluster node.
+    fn forward_hub(&self) -> &ForwardHub {
+        self.forward.as_ref().expect("cluster implies hub")
+    }
+}
+
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -372,12 +381,19 @@ struct ForwardHub {
     idle: Mutex<HashMap<String, Vec<Client>>>,
     /// The service's observability surface (a standalone Arc — holding
     /// it does not pin the service alive, preserving the no-`Shared`
-    /// rule above): forward round-trips land in `net_forward_rtt_ns`.
+    /// rule above).
     obs: Arc<ServiceObs>,
+    /// Forward round-trips, submit to ack (`net_forward_rtt_ns`).
+    forward_rtt: Arc<Histogram>,
+    /// Submissions proxied to their owner ([`ServiceStats::FORWARDED_JOBS`]).
+    forwarded_jobs: Arc<Counter>,
+    /// Failed or refused forwards ([`ServiceStats::FORWARD_ERRORS`]).
+    forward_errors: Arc<Counter>,
 }
 
 impl ForwardHub {
     fn new(cluster: ClusterConfig, wake: Arc<WakeHub>, obs: Arc<ServiceObs>) -> ForwardHub {
+        let registry = obs.registry();
         ForwardHub {
             cluster,
             wake,
@@ -385,6 +401,9 @@ impl ForwardHub {
             task_cv: Condvar::new(),
             stopped: AtomicBool::new(false),
             idle: Mutex::new(HashMap::new()),
+            forward_rtt: registry.histogram("net_forward_rtt_ns"),
+            forwarded_jobs: registry.counter(ServiceStats::FORWARDED_JOBS),
+            forward_errors: registry.counter(ServiceStats::FORWARD_ERRORS),
             obs,
         }
     }
@@ -479,10 +498,7 @@ impl ForwardHub {
         // The forward round-trip is submit-to-ack (or typed refusal) —
         // the owner's solve time is its own series, not this one.
         if self.obs.enabled() {
-            self.obs
-                .registry()
-                .histogram("net_forward_rtt_ns")
-                .record_duration(rtt_start.elapsed());
+            self.forward_rtt.record_duration(rtt_start.elapsed());
         }
         let job = match submitted {
             Ok(job) => job,
@@ -1183,11 +1199,11 @@ impl Reactor {
                 }
             }
             ForwardOutcome::Refused { kind, detail } => {
-                shared.service.note_forward_error();
+                shared.forward_hub().forward_errors.inc();
                 conn.queue_error(pool, config, kind, detail);
             }
             ForwardOutcome::Failed { owner, detail } => {
-                shared.service.note_forward_error();
+                shared.forward_hub().forward_errors.inc();
                 conn.queue_error(pool, config, ErrorKind::WrongNode { owner }, detail);
             }
         }
@@ -1574,7 +1590,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                                 Some(TraceId(trace_id)),
                                 format!("{fingerprint} to {owner_name} at {owner_addr}"),
                             );
-                            let hub = shared.forward.as_ref().expect("cluster implies hub");
+                            let hub = shared.forward_hub();
                             let queued = hub.submit(ForwardTask {
                                 token: conn.token,
                                 trace,
@@ -1588,7 +1604,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                             if queued {
                                 // The ack (or a typed failure) arrives
                                 // asynchronously from the forwarder pool.
-                                shared.service.note_forwarded_job();
+                                hub.forwarded_jobs.inc();
                             } else {
                                 conn.queue_error(
                                     pool,
@@ -1659,7 +1675,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 .as_ref()
                 .is_some_and(|r| r.owns(&cluster.member, fingerprint));
             if !owned {
-                shared.service.note_forward_error();
+                shared.forward_hub().forward_errors.inc();
                 let (owner, local_epoch) = ring
                     .as_ref()
                     .map(|r| (r.owner(fingerprint).addr.clone(), r.epoch()))
@@ -1798,10 +1814,6 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 },
             );
         }
-        Message::QueryStats => {
-            let stats = WireStats::from(shared.service.stats());
-            conn.queue(pool, config, &Message::StatsInfo(stats));
-        }
         Message::QueryMetrics { tail } => {
             let text = shared.service.metrics_text(tail as usize);
             conn.queue(pool, config, &Message::MetricsInfo { text });
@@ -1822,7 +1834,6 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
         | Message::FingerprintInfo { .. }
         | Message::DimsPage { .. }
         | Message::HashPage { .. }
-        | Message::StatsInfo(_)
         | Message::MetricsInfo { .. }
         | Message::RingChanged { .. }
         | Message::Error { .. } => {

@@ -19,7 +19,7 @@ use beer_core::recovery::BudgetReason;
 use beer_core::trace::Fingerprint;
 use beer_ecc::LinearCode;
 use beer_gf2::{BitMatrix, BitVec};
-use beer_service::{JobState, Priority, Rejected, ServiceStats};
+use beer_service::{JobState, Priority, Rejected};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -28,7 +28,7 @@ use std::io::{self, Read, Write};
 /// [`ErrorKind::UnsupportedVersion`], so a peer built for a different
 /// frame layout is turned away at the handshake instead of misread
 /// later.
-pub const WIRE_VERSION: u16 = 5;
+pub const WIRE_VERSION: u16 = 6;
 /// Magic bytes opening every [`Message::Hello`] payload.
 pub const WIRE_MAGIC: [u8; 4] = *b"BEER";
 /// Default per-frame size cap. Large traces cross the wire as
@@ -770,131 +770,6 @@ pub struct WireRecord {
     pub outcome: WireOutcome,
 }
 
-/// A [`beer_service::ServiceStats`] snapshot on the wire.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Jobs admitted.
-    pub submitted: u64,
-    /// Jobs that ended `Done`.
-    pub completed: u64,
-    /// Jobs that ended `Failed`.
-    pub failed: u64,
-    /// Jobs that ended `Cancelled`.
-    pub cancelled: u64,
-    /// Submissions answered from the registry cache.
-    pub cache_hits: u64,
-    /// Submissions absorbed by an in-flight duplicate.
-    pub coalesced: u64,
-    /// Waiters promoted after a cancelled primary.
-    pub requeued: u64,
-    /// Jobs currently queued.
-    pub queued: u64,
-    /// Jobs currently running.
-    pub running: u64,
-    /// `QueueFull` rejections.
-    pub rejected_queue_full: u64,
-    /// `TooLarge` rejections.
-    pub rejected_too_large: u64,
-    /// `InvalidTenant` rejections.
-    pub rejected_invalid_tenant: u64,
-    /// `Unschedulable` rejections.
-    pub rejected_unschedulable: u64,
-    /// `ShuttingDown` rejections.
-    pub rejected_shutting_down: u64,
-    /// Live registry log segments.
-    pub registry_segments: u64,
-    /// Live registry snapshots.
-    pub registry_snapshots: u64,
-    /// Registry compactions completed.
-    pub registry_compactions: u64,
-    /// Registry compactions failed.
-    pub registry_compaction_failures: u64,
-    /// Submissions proxied to their owning cluster node.
-    pub forwarded_jobs: u64,
-    /// Forwarding attempts that failed.
-    pub forward_errors: u64,
-}
-
-impl From<ServiceStats> for WireStats {
-    fn from(s: ServiceStats) -> Self {
-        WireStats {
-            submitted: s.submitted,
-            completed: s.completed,
-            failed: s.failed,
-            cancelled: s.cancelled,
-            cache_hits: s.cache_hits,
-            coalesced: s.coalesced,
-            requeued: s.requeued,
-            queued: s.queued as u64,
-            running: s.running as u64,
-            rejected_queue_full: s.rejected.queue_full,
-            rejected_too_large: s.rejected.too_large,
-            rejected_invalid_tenant: s.rejected.invalid_tenant,
-            rejected_unschedulable: s.rejected.unschedulable,
-            rejected_shutting_down: s.rejected.shutting_down,
-            registry_segments: s.registry_segments as u64,
-            registry_snapshots: s.registry_snapshots as u64,
-            registry_compactions: s.registry_compactions,
-            registry_compaction_failures: s.registry_compaction_failures,
-            forwarded_jobs: s.forwarded_jobs,
-            forward_errors: s.forward_errors,
-        }
-    }
-}
-
-/// Stats travel as 20 big-endian `u64` words, in field order.
-fn put_stats(w: &mut Writer<'_>, s: &WireStats) {
-    for v in [
-        s.submitted,
-        s.completed,
-        s.failed,
-        s.cancelled,
-        s.cache_hits,
-        s.coalesced,
-        s.requeued,
-        s.queued,
-        s.running,
-        s.rejected_queue_full,
-        s.rejected_too_large,
-        s.rejected_invalid_tenant,
-        s.rejected_unschedulable,
-        s.rejected_shutting_down,
-        s.registry_segments,
-        s.registry_snapshots,
-        s.registry_compactions,
-        s.registry_compaction_failures,
-        s.forwarded_jobs,
-        s.forward_errors,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn get_stats(r: &mut Reader) -> Result<WireStats, WireError> {
-    Ok(WireStats {
-        submitted: r.u64()?,
-        completed: r.u64()?,
-        failed: r.u64()?,
-        cancelled: r.u64()?,
-        cache_hits: r.u64()?,
-        coalesced: r.u64()?,
-        requeued: r.u64()?,
-        queued: r.u64()?,
-        running: r.u64()?,
-        rejected_queue_full: r.u64()?,
-        rejected_too_large: r.u64()?,
-        rejected_invalid_tenant: r.u64()?,
-        rejected_unschedulable: r.u64()?,
-        rejected_shutting_down: r.u64()?,
-        registry_segments: r.u64()?,
-        registry_snapshots: r.u64()?,
-        registry_compactions: r.u64()?,
-        registry_compaction_failures: r.u64()?,
-        forwarded_jobs: r.u64()?,
-        forward_errors: r.u64()?,
-    })
-}
-
 /// The kind of a typed [`Message::Error`] frame. The first five mirror
 /// [`beer_service::Rejected`] exactly (the load-shedding map: queue
 /// backpressure becomes a wire error, never a dropped socket); the rest
@@ -1233,11 +1108,6 @@ pub enum Message {
         /// Send this back to fetch the next page; `None` means done.
         next_cursor: Option<Vec<u8>>,
     },
-    /// Client → server: request a service stats snapshot.
-    QueryStats,
-    /// Server → client: the stats snapshot, registry and forwarding
-    /// gauges included.
-    StatsInfo(WireStats),
     /// Server → client, push: the cluster membership changed.
     /// Clients adopt the ring (if its epoch is newer) and re-route
     /// without reconnecting.
@@ -1287,8 +1157,9 @@ pub enum Message {
     Bye,
 }
 
-// Tags retired with older protocol versions (6, 15–18, 20, 28) are
-// never reused: they decode as `UnknownTag`.
+// Tags retired with older protocol versions (6, 15–18, 20, 28, and the
+// v5 stats frames 19 `QueryStats` / 29 `StatsInfo`) are never reused:
+// they decode as `UnknownTag`.
 const TAG_HELLO: u8 = 1;
 const TAG_HELLO_ACK: u8 = 2;
 const TAG_TRACE_BEGIN: u8 = 3;
@@ -1302,7 +1173,6 @@ const TAG_CANCEL: u8 = 11;
 const TAG_CANCEL_ACK: u8 = 12;
 const TAG_QUERY_FINGERPRINT: u8 = 13;
 const TAG_FINGERPRINT_INFO: u8 = 14;
-const TAG_QUERY_STATS: u8 = 19;
 const TAG_ERROR: u8 = 21;
 const TAG_BYE: u8 = 22;
 const TAG_QUERY_DIMS_PAGE: u8 = 23;
@@ -1310,7 +1180,6 @@ const TAG_DIMS_PAGE: u8 = 24;
 const TAG_QUERY_HASH_PAGE: u8 = 25;
 const TAG_HASH_PAGE: u8 = 26;
 const TAG_RING_CHANGED: u8 = 27;
-const TAG_STATS_INFO: u8 = 29;
 const TAG_SUBMIT: u8 = 30;
 const TAG_SUBMIT_FORWARDED: u8 = 31;
 const TAG_QUERY_METRICS: u8 = 32;
@@ -1481,11 +1350,6 @@ impl Message {
                 put_code_entries(&mut w, entries);
                 w.opt_bytes(next_cursor.as_deref());
             }
-            Message::QueryStats => w.u8(TAG_QUERY_STATS),
-            Message::StatsInfo(stats) => {
-                w.u8(TAG_STATS_INFO);
-                put_stats(&mut w, stats);
-            }
             Message::RingChanged { ring } => {
                 w.u8(TAG_RING_CHANGED);
                 put_ring(&mut w, ring);
@@ -1626,8 +1490,6 @@ impl Message {
                 entries: get_code_entries(&mut r)?,
                 next_cursor: r.opt_bytes("hash next cursor present")?,
             },
-            TAG_QUERY_STATS => Message::QueryStats,
-            TAG_STATS_INFO => Message::StatsInfo(get_stats(&mut r)?),
             TAG_RING_CHANGED => Message::RingChanged {
                 ring: get_ring(&mut r)?,
             },

@@ -16,7 +16,7 @@ use beer_core::trace::Fingerprint;
 use beer_ecc::hamming;
 use beer_net::wire::{
     negotiate, read_message, ErrorKind, Message, RecvError, WireCodeEntry, WireError, WireEvent,
-    WireJobError, WireOutcome, WireOutput, WireRecord, WireStats, WIRE_VERSION,
+    WireJobError, WireOutcome, WireOutput, WireRecord, WIRE_VERSION,
 };
 use beer_net::{Ring, RingMember};
 use beer_service::{JobState, Priority};
@@ -182,31 +182,6 @@ impl Gen {
         }
     }
 
-    fn stats(&mut self) -> WireStats {
-        WireStats {
-            submitted: self.next(),
-            completed: self.next(),
-            failed: self.next(),
-            cancelled: self.next(),
-            cache_hits: self.next(),
-            coalesced: self.next(),
-            requeued: self.next(),
-            queued: self.next(),
-            running: self.next(),
-            rejected_queue_full: self.next(),
-            rejected_too_large: self.next(),
-            rejected_invalid_tenant: self.next(),
-            rejected_unschedulable: self.next(),
-            rejected_shutting_down: self.next(),
-            registry_segments: self.next(),
-            registry_snapshots: self.next(),
-            registry_compactions: self.next(),
-            registry_compaction_failures: self.next(),
-            forwarded_jobs: self.next(),
-            forward_errors: self.next(),
-        }
-    }
-
     fn ring(&mut self) -> Ring {
         let members: Vec<RingMember> = (0..1 + self.below(4))
             .map(|i| RingMember {
@@ -222,7 +197,7 @@ impl Gen {
 }
 
 /// Message kinds the protocol defines.
-const KINDS: u64 = 26;
+const KINDS: u64 = 24;
 
 /// Every frame variant, payloads derived from the seed. `variant` cycles
 /// through all message kinds so every test run covers the full space.
@@ -297,34 +272,32 @@ fn arb_message(variant: u64, seed: u64) -> Message {
                 outcome: g.outcome(),
             }),
         },
-        14 => Message::QueryStats,
-        15 => Message::StatsInfo(g.stats()),
-        16 => Message::Error {
+        14 => Message::Error {
             kind: g.error_kind(),
             detail: g.string(),
         },
-        17 => Message::QueryDimsPage {
+        15 => Message::QueryDimsPage {
             n: g.next() as u32,
             k: g.next() as u32,
             cursor: g.opt_bytes(),
             limit: g.next() as u32,
         },
-        18 => Message::DimsPage {
+        16 => Message::DimsPage {
             entries: g.entries(),
             next_cursor: g.opt_bytes(),
         },
-        19 => Message::QueryHashPage {
+        17 => Message::QueryHashPage {
             hash: g.next(),
             cursor: g.opt_bytes(),
             limit: g.next() as u32,
         },
-        20 => Message::HashPage {
+        18 => Message::HashPage {
             entries: g.entries(),
             next_cursor: g.opt_bytes(),
         },
-        21 => Message::Bye,
-        22 => Message::RingChanged { ring: g.ring() },
-        23 => Message::SubmitForwarded {
+        19 => Message::Bye,
+        20 => Message::RingChanged { ring: g.ring() },
+        21 => Message::SubmitForwarded {
             fingerprint: g.fingerprint(),
             priority: match g.below(3) {
                 0 => Priority::Low,
@@ -335,7 +308,7 @@ fn arb_message(variant: u64, seed: u64) -> Message {
             epoch: g.next(),
             trace_id: g.u128(),
         },
-        24 => Message::QueryMetrics {
+        22 => Message::QueryMetrics {
             tail: g.next() as u32,
         },
         _ => Message::MetricsInfo { text: g.string() },
@@ -430,12 +403,13 @@ proptest! {
 
 #[test]
 fn unknown_and_retired_tags_are_typed_errors() {
-    // 6, 15–18, 20 and 28 are the tags retired with the older protocol
+    // 6, 15–20, 28 and 29 are the tags retired with the older protocol
     // versions (legacy Submit, the unpaginated registry queries and
-    // answers, the 14-counter StatsInfo, legacy SubmitForwarded); 34 is
-    // the first tag past the current set; the rest are arbitrary
-    // unassigned values including the extremes.
-    for tag in [6u8, 15, 16, 17, 18, 20, 28, 0, 34, 42, 200, 255] {
+    // answers, the 14-counter StatsInfo, legacy SubmitForwarded, and the
+    // v5 QueryStats/StatsInfo pair); 34 is the first tag past the
+    // current set; the rest are arbitrary unassigned values including
+    // the extremes.
+    for tag in [6u8, 15, 16, 17, 18, 19, 20, 28, 29, 0, 34, 42, 200, 255] {
         let body = vec![tag, 1, 2, 3];
         assert_eq!(
             Message::decode_body(&body),
@@ -502,10 +476,13 @@ fn version_negotiation_accepts_exactly_the_ranges_containing_the_version() {
         assert_eq!(negotiate(min, max), Some(v), "range {min}..={max}");
     }
     // Every range that misses it: older-only peers (a v4 build offers
-    // 1..=4), newer-only peers, empty ranges, and nonsense.
+    // 1..=4, a v5 build 5..=5), newer-only peers, empty ranges, and
+    // nonsense.
     for (min, max) in [
         (1, 4),
-        (6, 9),
+        (5, 5),
+        (1, 5),
+        (7, 9),
         (1, 1),
         (0, 0),
         (v + 1, v + 5),

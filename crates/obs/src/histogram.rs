@@ -14,6 +14,7 @@
 //! consistent (count may trail the buckets by in-flight increments),
 //! which is fine for monitoring and exact once writers quiesce.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -207,19 +208,57 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// One-line rendering used by the text exposition:
-    /// `count=N sum=S min=m mean=a p50=x p90=y p99=z max=M`.
-    pub fn render(&self) -> String {
-        format!(
-            "count={} sum={} min={} mean={} p50={} p90={} p99={} max={}",
-            self.count,
-            self.sum,
-            self.min(),
-            self.mean(),
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-            self.max()
+    /// The quantile summary the text exposition renders.
+    pub fn summary(&self) -> HistogramSummary {
+        HistogramSummary {
+            count: self.count,
+            sum: self.sum,
+            min: self.min(),
+            mean: self.mean(),
+            p50: self.quantile(0.50),
+            p90: self.quantile(0.90),
+            p99: self.quantile(0.99),
+            max: self.max(),
+        }
+    }
+}
+
+/// A histogram as the exposition shows it: count, sum and the quantile
+/// estimates. Displays as
+/// `count=N sum=S min=m mean=a p50=x p90=y p99=z max=M`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HistogramSummary {
+    pub count: u64,
+    pub sum: u64,
+    pub min: u64,
+    pub mean: u64,
+    pub p50: u64,
+    pub p90: u64,
+    pub p99: u64,
+    pub max: u64,
+}
+
+impl HistogramSummary {
+    /// The field names in display order.
+    pub(crate) const FIELDS: [&'static str; 8] =
+        ["count", "sum", "min", "mean", "p50", "p90", "p99", "max"];
+}
+
+impl fmt::Display for HistogramSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let HistogramSummary {
+            count,
+            sum,
+            min,
+            mean,
+            p50,
+            p90,
+            p99,
+            max,
+        } = self;
+        write!(
+            f,
+            "count={count} sum={sum} min={min} mean={mean} p50={p50} p90={p90} p99={p99} max={max}"
         )
     }
 }

@@ -10,6 +10,9 @@
 //! - [`MetricsRegistry`]: named atomic counters, gauges, and histograms
 //!   with a stable text exposition. Handles are `Arc`s — grab them once
 //!   on a hot path, never re-look-up by name per event.
+//! - [`MetricsSnapshot`]: a name → value read of a registry, taken in
+//!   process or parsed back from the exposition text, so local and
+//!   remote readers see the same series.
 //! - [`FlightRecorder`]: a fixed-size ring of recent structured events
 //!   (admission, dispatch, forward, compaction, shed) so an operator can
 //!   ask "what just happened on this node" without log scraping.
@@ -27,7 +30,7 @@ mod recorder;
 mod registry;
 mod trace;
 
-pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot, HistogramSummary, BUCKETS};
 pub use recorder::{FlightEvent, FlightRecorder};
-pub use registry::{Counter, Gauge, MetricsRegistry};
+pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, ParseMetricsError};
 pub use trace::TraceId;

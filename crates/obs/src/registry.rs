@@ -1,7 +1,9 @@
-//! Named metric handles with a stable text exposition.
+//! Named metric handles with a stable text exposition, and the typed
+//! name → value read of it.
 
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, HistogramSummary};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -127,7 +129,81 @@ impl MetricsRegistry {
         }
     }
 
-    /// The full registry as text, one metric per line, sorted by name:
+    /// Every metric's current value, by name.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let metrics = self
+            .lock()
+            .iter()
+            .map(|(name, metric)| {
+                let value = match metric {
+                    Metric::Counter(c) => MetricValue::Counter(c.get()),
+                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
+                    Metric::Histogram(h) => MetricValue::Histogram(h.snapshot().summary()),
+                };
+                (name.clone(), value)
+            })
+            .collect();
+        MetricsSnapshot { metrics }
+    }
+
+    /// The full registry as text: [`MetricsSnapshot::render`] of
+    /// [`MetricsRegistry::snapshot`].
+    pub fn render(&self) -> String {
+        self.snapshot().render()
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum MetricValue {
+    Counter(u64),
+    Gauge(u64),
+    Histogram(HistogramSummary),
+}
+
+/// A point-in-time read of a registry, by name.
+///
+/// [`MetricsRegistry::snapshot`] takes one in-process;
+/// [`MetricsSnapshot::parse`] recovers one from the text a remote node
+/// rendered, so local and remote readers see the same series.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MetricsSnapshot {
+    metrics: BTreeMap<String, MetricValue>,
+}
+
+/// A metric line [`MetricsSnapshot::parse`] could not read.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParseMetricsError {
+    /// The 1-based line number.
+    pub line: usize,
+}
+
+impl fmt::Display for ParseMetricsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "malformed metric on line {}", self.line)
+    }
+}
+
+impl std::error::Error for ParseMetricsError {}
+
+impl MetricsSnapshot {
+    /// The value of the counter or gauge named `name`; `None` when no
+    /// such series exists or it is a histogram.
+    pub fn value(&self, name: &str) -> Option<u64> {
+        match self.metrics.get(name)? {
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => Some(*v),
+            MetricValue::Histogram(_) => None,
+        }
+    }
+
+    /// The histogram named `name`.
+    pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
+        match self.metrics.get(name)? {
+            MetricValue::Histogram(h) => Some(h),
+            _ => None,
+        }
+    }
+
+    /// The snapshot as text, one metric per line, sorted by name:
     ///
     /// ```text
     /// counter service_submitted_total 42
@@ -136,20 +212,66 @@ impl MetricsRegistry {
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (name, metric) in self.lock().iter() {
-            match metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!("counter {name} {}\n", c.get()));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!("gauge {name} {}\n", g.get()));
-                }
-                Metric::Histogram(h) => {
-                    out.push_str(&format!("histogram {name} {}\n", h.snapshot().render()));
-                }
-            }
+        for (name, value) in &self.metrics {
+            let line = match value {
+                MetricValue::Counter(v) => format!("counter {name} {v}\n"),
+                MetricValue::Gauge(v) => format!("gauge {name} {v}\n"),
+                MetricValue::Histogram(h) => format!("histogram {name} {h}\n"),
+            };
+            out.push_str(&line);
         }
         out
+    }
+
+    /// The inverse of [`MetricsSnapshot::render`]. Lines that do not
+    /// open with a metric kind (such as the flight-recorder events a
+    /// node appends to its exposition) are skipped.
+    ///
+    /// # Errors
+    ///
+    /// A metric line with a missing, extra or non-numeric field.
+    pub fn parse(text: &str) -> Result<MetricsSnapshot, ParseMetricsError> {
+        let mut metrics = BTreeMap::new();
+        for (i, line) in text.lines().enumerate() {
+            let mut words = line.split_whitespace();
+            let kind = words.next();
+            if !matches!(kind, Some("counter" | "gauge" | "histogram")) {
+                continue;
+            }
+            let err = ParseMetricsError { line: i + 1 };
+            let name = words.next().ok_or_else(|| err.clone())?;
+            let fields: Vec<&str> = words.collect();
+            let value = match (kind, fields.as_slice()) {
+                (Some("counter"), [v]) => MetricValue::Counter(v.parse().map_err(|_| err)?),
+                (Some("gauge"), [v]) => MetricValue::Gauge(v.parse().map_err(|_| err)?),
+                (Some("histogram"), fields) if fields.len() == HistogramSummary::FIELDS.len() => {
+                    let mut values = [0; 8];
+                    for ((slot, field), key) in
+                        values.iter_mut().zip(fields).zip(HistogramSummary::FIELDS)
+                    {
+                        *slot = field
+                            .strip_prefix(key)
+                            .and_then(|f| f.strip_prefix('='))
+                            .and_then(|v| v.parse().ok())
+                            .ok_or_else(|| err.clone())?;
+                    }
+                    let [count, sum, min, mean, p50, p90, p99, max] = values;
+                    MetricValue::Histogram(HistogramSummary {
+                        count,
+                        sum,
+                        min,
+                        mean,
+                        p50,
+                        p90,
+                        p99,
+                        max,
+                    })
+                }
+                _ => return Err(err),
+            };
+            metrics.insert(name.to_string(), value);
+        }
+        Ok(MetricsSnapshot { metrics })
     }
 }
 
@@ -192,11 +314,57 @@ mod tests {
         reg.gauge("b_gauge").set(5);
         reg.counter("a_counter").add(9);
         reg.histogram("c_hist").record(32);
+        reg.histogram("d_hist").record(3);
+        reg.histogram("d_hist").record(1000);
+        reg.histogram("e_empty");
         let text = reg.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "counter a_counter 9");
         assert_eq!(lines[1], "gauge b_gauge 5");
         assert!(lines[2].starts_with("histogram c_hist count=1 sum=32"));
+
+        // Parsing the text recovers every counter, gauge and histogram
+        // field, and nothing else.
+        let parsed = MetricsSnapshot::parse(&text).expect("render parses");
+        assert_eq!(parsed, reg.snapshot());
+        assert_eq!(parsed.render(), text);
+        assert_eq!(parsed.value("a_counter"), Some(9));
+        assert_eq!(parsed.value("b_gauge"), Some(5));
+        assert_eq!(parsed.value("c_hist"), None);
+        assert_eq!(parsed.value("missing"), None);
+        let d = parsed.histogram("d_hist").expect("d_hist parsed");
+        assert_eq!(
+            (d.count, d.sum, d.min, d.mean, d.max),
+            (2, 1003, 3, 501, 1000)
+        );
+        assert_eq!((d.p50, d.p90, d.p99), (3, 1000, 1000));
+        assert_eq!(
+            parsed.histogram("e_empty"),
+            Some(&HistogramSummary::default())
+        );
+    }
+
+    #[test]
+    fn parse_skips_other_lines_and_refuses_malformed_metrics() {
+        let text = "counter jobs 4\nflight 0 +5us shed trace=- queue full\n";
+        let parsed = MetricsSnapshot::parse(text).expect("flight lines are skipped");
+        assert_eq!(parsed.value("jobs"), Some(4));
+        for (bad, line) in [
+            ("counter jobs\n", 1),
+            ("gauge depth 3\ncounter jobs x\n", 2),
+            ("counter jobs 1 2\n", 1),
+            ("histogram lat count=1 sum=2\n", 1),
+            (
+                "histogram lat count=1 sum=2 min=2 mean=2 p50=2 p90=2 max=2 p99=2\n",
+                1,
+            ),
+        ] {
+            assert_eq!(
+                MetricsSnapshot::parse(bad),
+                Err(ParseMetricsError { line }),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

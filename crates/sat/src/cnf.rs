@@ -41,11 +41,13 @@ enum GateKey {
 /// ```
 pub struct CnfBuilder {
     num_vars: usize,
+    /// Clauses not yet shipped to a solver.
     clauses: Vec<Vec<Lit>>,
+    /// How many clauses [`CnfBuilder::flush_into`] has shipped (and
+    /// dropped from `clauses`).
+    shipped: usize,
     gate_cache: HashMap<GateKey, Lit>,
     const_true: Option<Lit>,
-    /// Clauses already shipped to a live solver by [`CnfBuilder::flush_into`].
-    flushed: usize,
 }
 
 impl Default for CnfBuilder {
@@ -60,9 +62,9 @@ impl CnfBuilder {
         CnfBuilder {
             num_vars: 0,
             clauses: Vec::new(),
+            shipped: 0,
             gate_cache: HashMap::new(),
             const_true: None,
-            flushed: 0,
         }
     }
 
@@ -83,9 +85,9 @@ impl CnfBuilder {
         self.num_vars
     }
 
-    /// Number of clauses added so far.
+    /// Number of clauses added so far, shipped or pending.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.shipped + self.clauses.len()
     }
 
     /// Adds a raw clause (a disjunction of literals).
@@ -334,9 +336,17 @@ impl CnfBuilder {
     }
 
     /// Consumes the builder and returns a solver loaded with the formula.
+    ///
+    /// # Panics
+    ///
+    /// If the builder was already flushed: the shipped clauses are gone,
+    /// so the new solver would silently miss them.
     pub fn into_solver(mut self) -> Solver {
+        assert_eq!(
+            self.shipped, 0,
+            "into_solver on a flushed CnfBuilder would drop its shipped clauses"
+        );
         let mut solver = Solver::new();
-        self.flushed = 0;
         self.flush_into(&mut solver);
         solver
     }
@@ -350,24 +360,23 @@ impl CnfBuilder {
     ///
     /// Returns `false` if the solver derived a top-level conflict while
     /// absorbing the new clauses (the formula is then permanently UNSAT).
+    ///
+    /// Shipped clauses are dropped from the builder, which keeps only
+    /// their count.
     pub fn flush_into(&mut self, solver: &mut Solver) -> bool {
         solver.reserve_vars(self.num_vars);
+        let pending = std::mem::take(&mut self.clauses);
+        self.shipped += pending.len();
         let mut ok = true;
-        for c in &self.clauses[self.flushed..] {
-            ok &= solver.add_clause(c);
+        for c in pending {
+            ok &= solver.add_clause(&c);
         }
-        self.flushed = self.clauses.len();
         ok
     }
 
     /// Number of clauses not yet shipped by [`CnfBuilder::flush_into`].
     pub fn pending_clauses(&self) -> usize {
-        self.clauses.len() - self.flushed
-    }
-
-    /// Access to the raw clauses (used by the DIMACS writer and tests).
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
+        self.clauses.len()
     }
 }
 
@@ -555,6 +564,18 @@ mod tests {
             s.add_clause(&block);
         }
         assert_eq!(count, 36);
+    }
+
+    #[test]
+    #[should_panic(expected = "into_solver on a flushed CnfBuilder")]
+    fn into_solver_refuses_a_flushed_builder() {
+        let mut cnf = CnfBuilder::new();
+        let a = cnf.new_lit();
+        cnf.assert_lit(a);
+        let mut solver = Solver::new();
+        assert!(cnf.flush_into(&mut solver));
+        assert_eq!((cnf.num_clauses(), cnf.pending_clauses()), (1, 0));
+        let _ = cnf.into_solver();
     }
 
     #[test]

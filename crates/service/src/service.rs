@@ -31,7 +31,9 @@ use beer_core::recovery::{
 };
 use beer_core::trace::{Fingerprint, ProfileTrace, ReplayBackend};
 use beer_ecc::{equivalence, LinearCode};
-use beer_obs::{FlightRecorder, Histogram, MetricsRegistry, TraceId};
+use beer_obs::{
+    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, TraceId,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -166,11 +168,12 @@ pub struct ServiceConfig {
     /// requires the tenant's exact token. An empty set is a typed
     /// [`ConfigError::EmptyTenantSet`] at start.
     pub tenants: Option<HashMap<String, String>>,
-    /// Whether the observability layer records anything. On (the
+    /// Whether the optional observability series record. On (the
     /// default), latency histograms, per-tenant counters, and the flight
-    /// recorder are live; off, every recording call is a no-op branch —
-    /// the switch the `metrics_overhead` bench compares across. The
-    /// frozen `ServiceStats` counters are kept either way.
+    /// recorder are live; off, each of those recording calls is a no-op
+    /// branch — the switch the `metrics_overhead` bench compares across.
+    /// The [`ServiceStats`] counters and gauges are `beer_obs` series
+    /// that record either way.
     pub observability: bool,
 }
 
@@ -323,7 +326,9 @@ impl RejectionStats {
     }
 }
 
-/// Service counters and gauges (see [`RecoveryService::stats`]).
+/// Service counters and gauges (see [`RecoveryService::stats`]): a typed
+/// read of the node's `beer_obs` series, built by
+/// [`ServiceStats::from_snapshot`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Jobs admitted (including cache hits and coalesced waiters).
@@ -342,16 +347,16 @@ pub struct ServiceStats {
     /// cancelled.
     pub requeued: u64,
     /// Jobs currently queued (gauge).
-    pub queued: usize,
+    pub queued: u64,
     /// Jobs currently running (gauge).
-    pub running: usize,
+    pub running: u64,
     /// Admission rejections by kind.
     pub rejected: RejectionStats,
     /// Live registry segments of any kind — log + snapshot (gauge).
-    pub registry_segments: usize,
+    pub registry_segments: u64,
     /// Live registry snapshot generations (gauge). Climbing toward the
     /// compaction budget means a major merge is coming.
-    pub registry_snapshots: usize,
+    pub registry_snapshots: u64,
     /// Successful registry compactions (minor + major).
     pub registry_compactions: u64,
     /// Failed registry compactions. Appended-record accounting is kept
@@ -359,29 +364,108 @@ pub struct ServiceStats {
     /// silent reset.
     pub registry_compaction_failures: u64,
     /// Submissions this node proxied to their owning cluster peer
-    /// (reported by [`RecoveryService::note_forwarded_job`]). Zero on a
-    /// standalone node.
+    /// (series [`ServiceStats::FORWARDED_JOBS`], counted by the network
+    /// edge). Zero on a standalone node.
     pub forwarded_jobs: u64,
     /// Forwarding attempts that failed — the peer was unreachable or
-    /// refused the job (reported by
-    /// [`RecoveryService::note_forward_error`]).
+    /// refused the job (series [`ServiceStats::FORWARD_ERRORS`]).
     pub forward_errors: u64,
+}
+
+type StatsField = fn(&mut ServiceStats) -> &mut u64;
+
+/// Every [`ServiceStats`] field and the `beer_obs` series holding it —
+/// the one name table both [`RecoveryService::stats`] and remote readers
+/// of a node's exposition go through.
+const STATS_SERIES: [(&str, StatsField); 20] = [
+    ("service_submitted_total", |s| &mut s.submitted),
+    ("service_completed_total", |s| &mut s.completed),
+    ("service_failed_total", |s| &mut s.failed),
+    ("service_cancelled_total", |s| &mut s.cancelled),
+    ("service_cache_hits_total", |s| &mut s.cache_hits),
+    ("service_coalesced_total", |s| &mut s.coalesced),
+    ("service_requeued_total", |s| &mut s.requeued),
+    ("service_queued", |s| &mut s.queued),
+    ("service_running", |s| &mut s.running),
+    ("service_rejected_queue_full_total", |s| {
+        &mut s.rejected.queue_full
+    }),
+    ("service_rejected_too_large_total", |s| {
+        &mut s.rejected.too_large
+    }),
+    ("service_rejected_invalid_tenant_total", |s| {
+        &mut s.rejected.invalid_tenant
+    }),
+    ("service_rejected_unschedulable_total", |s| {
+        &mut s.rejected.unschedulable
+    }),
+    ("service_rejected_shutting_down_total", |s| {
+        &mut s.rejected.shutting_down
+    }),
+    ("registry_segments", |s| &mut s.registry_segments),
+    ("registry_snapshots", |s| &mut s.registry_snapshots),
+    ("registry_compactions", |s| &mut s.registry_compactions),
+    ("registry_compaction_failures", |s| {
+        &mut s.registry_compaction_failures
+    }),
+    (ServiceStats::FORWARDED_JOBS, |s| &mut s.forwarded_jobs),
+    (ServiceStats::FORWARD_ERRORS, |s| &mut s.forward_errors),
+];
+
+impl ServiceStats {
+    /// The counter series behind [`ServiceStats::forwarded_jobs`]; the
+    /// network edge registers it in the node's shared registry.
+    pub const FORWARDED_JOBS: &'static str = "net_forwarded_jobs_total";
+    /// The counter series behind [`ServiceStats::forward_errors`].
+    pub const FORWARD_ERRORS: &'static str = "net_forward_errors_total";
+
+    /// Reads the stats out of a node's metrics, whether taken in process
+    /// ([`MetricsRegistry::snapshot`]) or parsed from a remote node's
+    /// exposition ([`MetricsSnapshot::parse`]). A series the snapshot
+    /// lacks reads 0.
+    pub fn from_snapshot(snapshot: &MetricsSnapshot) -> ServiceStats {
+        let mut stats = ServiceStats::default();
+        for (name, field) in STATS_SERIES {
+            *field(&mut stats) = snapshot.value(name).unwrap_or(0);
+        }
+        stats
+    }
 }
 
 /// The service's observability hub: one metrics registry and one flight
 /// recorder per node, shared (by `Arc`) with the network edge so every
 /// tier's series land in one exposition.
 ///
-/// The frozen [`ServiceStats`] counters stay authoritative under the
-/// state lock; this hub carries what they cannot — latency
-/// *distributions* (queue wait, solve time, cache lookups, per-round
-/// pipeline phases), per-tenant counters, and the recent-event ring.
-/// When constructed disabled, every recording method is one branch and
-/// returns — the `metrics_overhead` bench compares exactly this switch.
+/// The registry is the node's only metrics store. The [`ServiceStats`]
+/// counters and gauges are series in it, bumped through handles held
+/// from start and recorded whether or not the hub is enabled. Beside
+/// them it carries latency *distributions* (queue wait, solve time,
+/// cache lookups, per-round pipeline phases), per-tenant counters, and
+/// the recent-event ring; when constructed disabled, each of those
+/// recording methods is one branch and returns — the `metrics_overhead`
+/// bench compares exactly this switch.
 pub struct ServiceObs {
     enabled: bool,
     registry: MetricsRegistry,
     recorder: FlightRecorder,
+    submitted: Arc<Counter>,
+    completed: Arc<Counter>,
+    failed: Arc<Counter>,
+    cancelled: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    coalesced: Arc<Counter>,
+    requeued: Arc<Counter>,
+    rejected_queue_full: Arc<Counter>,
+    rejected_too_large: Arc<Counter>,
+    rejected_invalid_tenant: Arc<Counter>,
+    rejected_unschedulable: Arc<Counter>,
+    rejected_shutting_down: Arc<Counter>,
+    queued: Arc<Gauge>,
+    running: Arc<Gauge>,
+    registry_segments: Arc<Gauge>,
+    registry_snapshots: Arc<Gauge>,
+    registry_compactions: Arc<Gauge>,
+    registry_compaction_failures: Arc<Gauge>,
     queue_wait: Arc<Histogram>,
     solve_time: Arc<Histogram>,
     cache_lookup: Arc<Histogram>,
@@ -400,6 +484,24 @@ impl ServiceObs {
         let registry = MetricsRegistry::new();
         ServiceObs {
             enabled,
+            submitted: registry.counter("service_submitted_total"),
+            completed: registry.counter("service_completed_total"),
+            failed: registry.counter("service_failed_total"),
+            cancelled: registry.counter("service_cancelled_total"),
+            cache_hits: registry.counter("service_cache_hits_total"),
+            coalesced: registry.counter("service_coalesced_total"),
+            requeued: registry.counter("service_requeued_total"),
+            rejected_queue_full: registry.counter("service_rejected_queue_full_total"),
+            rejected_too_large: registry.counter("service_rejected_too_large_total"),
+            rejected_invalid_tenant: registry.counter("service_rejected_invalid_tenant_total"),
+            rejected_unschedulable: registry.counter("service_rejected_unschedulable_total"),
+            rejected_shutting_down: registry.counter("service_rejected_shutting_down_total"),
+            queued: registry.gauge("service_queued"),
+            running: registry.gauge("service_running"),
+            registry_segments: registry.gauge("registry_segments"),
+            registry_snapshots: registry.gauge("registry_snapshots"),
+            registry_compactions: registry.gauge("registry_compactions"),
+            registry_compaction_failures: registry.gauge("registry_compaction_failures"),
             queue_wait: registry.histogram("service_queue_wait_ns"),
             solve_time: registry.histogram("service_solve_ns"),
             cache_lookup: registry.histogram("service_cache_lookup_ns"),
@@ -413,8 +515,10 @@ impl ServiceObs {
         }
     }
 
-    /// True when the layer records; false turns every record into a
-    /// no-op (the exposition then shows only empty series).
+    /// True when the optional series record; false turns the latency,
+    /// per-tenant and flight-recorder records into no-ops (the
+    /// exposition then shows empty histograms beside the
+    /// [`ServiceStats`] series, which count either way).
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -451,6 +555,46 @@ impl ServiceObs {
                 .inc();
         }
     }
+
+    fn rejected(&self, rejected: &Rejected) -> &Counter {
+        match rejected {
+            Rejected::QueueFull { .. } => &self.rejected_queue_full,
+            Rejected::TooLarge { .. } => &self.rejected_too_large,
+            Rejected::InvalidTenant { .. } => &self.rejected_invalid_tenant,
+            Rejected::Unschedulable { .. } => &self.rejected_unschedulable,
+            Rejected::ShuttingDown => &self.rejected_shutting_down,
+        }
+    }
+
+    /// The gauge counting jobs in `state`, if one does.
+    fn jobs_in(&self, state: JobState) -> Option<&Gauge> {
+        match state {
+            JobState::Queued => Some(&self.queued),
+            JobState::Running => Some(&self.running),
+            _ => None,
+        }
+    }
+
+    /// Moves the queued/running gauges with a job's state change.
+    fn moved(&self, from: JobState, to: JobState) {
+        if let Some(gauge) = self.jobs_in(from) {
+            gauge.dec();
+        }
+        if let Some(gauge) = self.jobs_in(to) {
+            gauge.inc();
+        }
+    }
+
+    /// Sets the registry gauges from the registry's own accounting; runs
+    /// wherever the registry changes (open, append/roll, compaction).
+    fn publish_registry(&self, registry: &Registry) {
+        self.registry_segments.set(registry.segment_count() as u64);
+        self.registry_snapshots
+            .set(registry.snapshot_count() as u64);
+        self.registry_compactions.set(registry.compactions());
+        self.registry_compaction_failures
+            .set(registry.compaction_failures());
+    }
 }
 
 enum InputSlot {
@@ -482,20 +626,6 @@ struct Job {
     events: Fanout<JobEvent>,
 }
 
-#[derive(Clone, Copy, Default)]
-struct Counters {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    cache_hits: u64,
-    coalesced: u64,
-    requeued: u64,
-    rejected: RejectionStats,
-    forwarded_jobs: u64,
-    forward_errors: u64,
-}
-
 struct State {
     scheduler: FairScheduler<JobId>,
     jobs: HashMap<JobId, Job>,
@@ -505,8 +635,6 @@ struct State {
     inflight: HashMap<Fingerprint, JobId>,
     registry: Registry,
     next_id: u64,
-    running: usize,
-    counters: Counters,
     shutdown: bool,
 }
 
@@ -552,6 +680,8 @@ impl RecoveryService {
             None => Registry::in_memory(),
         };
         registry.set_seal_bytes(config.registry_seal_bytes);
+        let obs = Arc::new(ServiceObs::new(config.observability));
+        obs.publish_registry(&registry);
         let worker_count = config.workers;
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
@@ -561,8 +691,6 @@ impl RecoveryService {
                 inflight: HashMap::new(),
                 registry,
                 next_id: 0,
-                running: 0,
-                counters: Counters::default(),
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
@@ -575,7 +703,7 @@ impl RecoveryService {
             compact_budget: config.compact_budget,
             retained_jobs: config.retained_jobs,
             tenants: config.tenants,
-            obs: Arc::new(ServiceObs::new(config.observability)),
+            obs,
         });
         let workers = (0..worker_count)
             .map(|i| {
@@ -600,17 +728,7 @@ impl RecoveryService {
         let tenant = request.tenant.clone();
         let result = self.submit_inner(request);
         if let Err(rejected) = &result {
-            {
-                let mut state = lock_unpoisoned(&self.inner.state);
-                let r = &mut state.counters.rejected;
-                match rejected {
-                    Rejected::QueueFull { .. } => r.queue_full += 1,
-                    Rejected::TooLarge { .. } => r.too_large += 1,
-                    Rejected::InvalidTenant { .. } => r.invalid_tenant += 1,
-                    Rejected::Unschedulable { .. } => r.unschedulable += 1,
-                    Rejected::ShuttingDown => r.shutting_down += 1,
-                }
-            }
+            self.inner.obs.rejected(rejected).inc();
             // No per-tenant series for InvalidTenant: arbitrary unvetted
             // names would grow the registry without bound.
             if !matches!(rejected, Rejected::InvalidTenant { .. }) {
@@ -713,7 +831,7 @@ impl RecoveryService {
 
         let id = JobId(state.next_id);
         state.next_id += 1;
-        state.counters.submitted += 1;
+        obs.submitted.inc();
         // Every admitted job carries a trace id: the submitter's (a
         // forwarded job keeps its origin-node id) or one minted here.
         let trace_id = trace_id.unwrap_or_else(TraceId::mint);
@@ -735,13 +853,14 @@ impl RecoveryService {
                 events: Fanout::new(),
             },
         );
+        obs.queued.inc();
         obs.bump_tenant(&tenant, "submitted_total");
         obs.flight("admission", Some(trace_id), format!("{id} tenant {tenant}"));
         self.inner
             .emit(&state, JobEvent::Submitted { job: id, tenant });
 
         if let Some(outcome) = cached {
-            state.counters.cache_hits += 1;
+            obs.cache_hits.inc();
             self.inner.emit(&state, JobEvent::CacheHit { job: id });
             self.inner.finalize(
                 &mut state,
@@ -765,7 +884,7 @@ impl RecoveryService {
                 .get_mut(&id)
                 .expect("just inserted")
                 .coalesced_into = Some(primary);
-            state.counters.coalesced += 1;
+            obs.coalesced.inc();
             self.inner
                 .emit(&state, JobEvent::Coalesced { job: id, primary });
         } else {
@@ -896,15 +1015,6 @@ impl RecoveryService {
         self.inner.events.subscribe()
     }
 
-    /// The cached outcome for a profile fingerprint, if any job completed
-    /// it (now or in a previous service life).
-    pub fn cached_outcome(&self, fingerprint: Fingerprint) -> Option<CodeOutcome> {
-        lock_unpoisoned(&self.inner.state)
-            .registry
-            .lookup_fingerprint(fingerprint)
-            .map(|record| record.outcome)
-    }
-
     /// The full registry record for a profile fingerprint.
     pub fn lookup_fingerprint(&self, fingerprint: Fingerprint) -> Option<JobRecord> {
         lock_unpoisoned(&self.inner.state)
@@ -998,7 +1108,10 @@ impl RecoveryService {
     ///
     /// Propagates I/O errors; the previous log stays intact on failure.
     pub fn compact_registry(&self) -> io::Result<()> {
-        lock_unpoisoned(&self.inner.state).registry.compact()
+        let mut state = lock_unpoisoned(&self.inner.state);
+        let compacted = state.registry.compact();
+        self.inner.obs.publish_registry(&state.registry);
+        compacted
     }
 
     /// Blocks until the service is *idle* — nothing queued and nothing
@@ -1010,7 +1123,7 @@ impl RecoveryService {
         let deadline = Instant::now() + timeout;
         let mut state = lock_unpoisoned(&self.inner.state);
         loop {
-            if state.scheduler.len() == 0 && state.running == 0 {
+            if state.scheduler.len() == 0 && self.inner.obs.running.get() == 0 {
                 return true;
             }
             let now = Instant::now();
@@ -1029,19 +1142,6 @@ impl RecoveryService {
         }
     }
 
-    /// Records that a submission was proxied to its owning cluster peer
-    /// (see [`ServiceStats::forwarded_jobs`]). The job itself runs — and
-    /// is counted — on the owner; this node only relayed it.
-    pub fn note_forwarded_job(&self) {
-        lock_unpoisoned(&self.inner.state).counters.forwarded_jobs += 1;
-    }
-
-    /// Records a failed forwarding attempt (see
-    /// [`ServiceStats::forward_errors`]).
-    pub fn note_forward_error(&self) {
-        lock_unpoisoned(&self.inner.state).counters.forward_errors += 1;
-    }
-
     /// The node's observability hub: metrics registry, latency
     /// histograms, and flight recorder. The network edge shares it so
     /// one exposition covers every tier of the node.
@@ -1049,83 +1149,23 @@ impl RecoveryService {
         &self.inner.obs
     }
 
-    /// The trace correlation id of a job still in the retention window.
-    pub fn job_trace_id(&self, id: JobId) -> Option<TraceId> {
-        lock_unpoisoned(&self.inner.state)
-            .jobs
-            .get(&id)
-            .map(|job| job.trace_id)
-    }
-
-    /// The node's full observability state as text: the frozen
-    /// [`ServiceStats`] mirror, every registered metric series (latency
-    /// histograms with p50/p90/p99), and the last `tail` flight-recorder
-    /// events. This is the payload of the wire's `QueryMetrics`
-    /// answer; the format is line-oriented and stable enough to grep,
-    /// not a frozen wire encoding.
+    /// The node's full observability state as text: every registered
+    /// metric series (the [`ServiceStats`] counters and gauges, latency
+    /// histograms with p50/p90/p99) as [`MetricsRegistry::render`] prints
+    /// it, then the last `tail` flight-recorder events. This is the
+    /// payload of the wire's `QueryMetrics` answer;
+    /// [`MetricsSnapshot::parse`] reads the series back.
     pub fn metrics_text(&self, tail: usize) -> String {
-        let stats = self.stats();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "stats submitted={} completed={} failed={} cancelled={} \
-             cache_hits={} coalesced={} requeued={} queued={} running={} \
-             rejected={} forwarded_jobs={} forward_errors={}\n",
-            stats.submitted,
-            stats.completed,
-            stats.failed,
-            stats.cancelled,
-            stats.cache_hits,
-            stats.coalesced,
-            stats.requeued,
-            stats.queued,
-            stats.running,
-            stats.rejected.total(),
-            stats.forwarded_jobs,
-            stats.forward_errors,
-        ));
-        out.push_str(&format!(
-            "stats registry_segments={} registry_snapshots={} \
-             registry_compactions={} registry_compaction_failures={}\n",
-            stats.registry_segments,
-            stats.registry_snapshots,
-            stats.registry_compactions,
-            stats.registry_compaction_failures,
-        ));
-        if self.inner.obs.enabled() {
-            out.push_str(&self.inner.obs.registry().render());
-            out.push_str(&self.inner.obs.recorder().render_tail(tail));
-        } else {
-            out.push_str("# observability disabled\n");
-        }
+        let obs = &self.inner.obs;
+        let mut out = obs.registry().render();
+        out.push_str(&obs.recorder().render_tail(tail));
         out
     }
 
-    /// Current counters and gauges.
+    /// Current counters and gauges, read from the node's metrics
+    /// registry (no service lock is taken).
     pub fn stats(&self) -> ServiceStats {
-        let state = lock_unpoisoned(&self.inner.state);
-        let c = state.counters;
-        ServiceStats {
-            submitted: c.submitted,
-            completed: c.completed,
-            failed: c.failed,
-            cancelled: c.cancelled,
-            cache_hits: c.cache_hits,
-            coalesced: c.coalesced,
-            requeued: c.requeued,
-            queued: state
-                .jobs
-                .values()
-                .filter(|j| j.state == JobState::Queued)
-                .count(),
-            running: state.running,
-            rejected: c.rejected,
-            registry_segments: state.registry.segment_count(),
-            registry_snapshots: state.registry.snapshot_count(),
-            registry_compactions: state.registry.compactions(),
-            registry_compaction_failures: state.registry.compaction_failures(),
-            forwarded_jobs: c.forwarded_jobs,
-            forward_errors: c.forward_errors,
-        }
+        ServiceStats::from_snapshot(&self.inner.obs.registry().snapshot())
     }
 
     /// Stops accepting work, fails still-queued jobs with
@@ -1187,14 +1227,15 @@ impl Inner {
         if job.state.is_terminal() {
             return;
         }
+        self.obs.moved(job.state, new_state);
         job.state = new_state;
         job.result = Some(result.clone());
         let waiters = std::mem::take(&mut job.waiters);
         let fingerprint = job.fingerprint;
         match new_state {
-            JobState::Done => state.counters.completed += 1,
-            JobState::Failed => state.counters.failed += 1,
-            JobState::Cancelled => state.counters.cancelled += 1,
+            JobState::Done => self.obs.completed.inc(),
+            JobState::Failed => self.obs.failed.inc(),
+            JobState::Cancelled => self.obs.cancelled.inc(),
             _ => {}
         }
         self.emit(
@@ -1231,7 +1272,7 @@ impl Inner {
                     state.inflight.insert(fp, promoted);
                 }
                 state.scheduler.requeue(&tenant, priority, promoted);
-                state.counters.requeued += 1;
+                self.obs.requeued.inc();
                 self.emit(state, JobEvent::Requeued { job: promoted });
                 self.work_ready.notify_one();
             }
@@ -1326,6 +1367,7 @@ fn worker_loop(inner: &Inner) {
             continue;
         }
         job.state = JobState::Running;
+        inner.obs.moved(JobState::Queued, JobState::Running);
         let cancel = job.cancel.clone();
         let deadline_at = job.deadline_at;
         let job_events = job.events.clone();
@@ -1347,7 +1389,6 @@ fn worker_loop(inner: &Inner) {
             Some(trace_id),
             format!("{id} after {}us queued", queue_wait.as_micros()),
         );
-        state.running += 1;
         inner.emit(
             &state,
             JobEvent::StateChanged {
@@ -1406,7 +1447,6 @@ fn worker_loop(inner: &Inner) {
         obs.record(&obs.solve_time, run_start.elapsed());
 
         state = lock_unpoisoned(&inner.state);
-        state.running -= 1;
         let (job_state, job_result) = match run {
             Ok(report) => match report.outcome {
                 RecoveryOutcome::Unique(code) => (
@@ -1455,6 +1495,7 @@ fn worker_loop(inner: &Inner) {
                     {
                         eprintln!("beer_service: registry compaction failed: {e}");
                     }
+                    obs.publish_registry(&state.registry);
                     let compacted = state.registry.compactions() - compactions_before;
                     if compacted > 0 {
                         obs.flight(
@@ -1483,15 +1524,165 @@ mod tests {
     use super::*;
     use crate::job::JobRequest;
     use beer_core::collect::CollectionPlan;
-    use beer_core::engine::AnalyticBackend;
-    use beer_core::pattern::PatternSet;
+    use beer_core::engine::{AnalyticBackend, EngineError};
+    use beer_core::pattern::{ChargedSet, PatternSet};
+    use beer_core::MiscorrectionProfile;
     use beer_ecc::hamming;
+    use std::time::Duration;
 
     fn sample_trace() -> ProfileTrace {
-        let code = hamming::shortened(8);
-        let patterns = PatternSet::OneTwo.patterns(8);
+        trace_of(8)
+    }
+
+    fn trace_of(k: usize) -> ProfileTrace {
+        let code = hamming::shortened(k);
+        let patterns = PatternSet::OneTwo.patterns(k);
         let mut backend = AnalyticBackend::new(code);
         ProfileTrace::record(&mut backend, &patterns, &CollectionPlan::quick())
+    }
+
+    /// A source that parks its worker until the paired sender drops.
+    struct GateSource(mpsc::Receiver<()>);
+
+    impl ProfileSource for GateSource {
+        fn k(&self) -> usize {
+            8
+        }
+
+        fn label(&self) -> String {
+            "gate".to_string()
+        }
+
+        fn num_units(&self, _: &[ChargedSet], _: &CollectionPlan) -> usize {
+            1
+        }
+
+        fn run_unit(
+            &mut self,
+            _: usize,
+            _: &[ChargedSet],
+            _: &CollectionPlan,
+            _: &mut MiscorrectionProfile,
+        ) -> Result<(), EngineError> {
+            // Returns once the sender is dropped, and at once after that.
+            let _ = self.0.recv();
+            Ok(())
+        }
+    }
+
+    /// Submits a gate job and waits (on the event stream) until it runs;
+    /// dropping the returned sender lets it finish.
+    fn park_worker(
+        service: &RecoveryService,
+        events: &mpsc::Receiver<JobEvent>,
+    ) -> (JobId, mpsc::Sender<()>) {
+        let (release, gate) = mpsc::channel();
+        let id = service
+            .submit(JobRequest::source(
+                "warden",
+                "gate",
+                Box::new(GateSource(gate)),
+            ))
+            .expect("gate admitted");
+        loop {
+            let event = events
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the gate job starts");
+            if matches!(event, JobEvent::StateChanged { job, state: JobState::Running } if job == id)
+            {
+                return (id, release);
+            }
+        }
+    }
+
+    /// The queued/running gauges equal the number of `ids` in each state.
+    fn assert_gauges_match(inner: &Inner, ids: &[JobId], when: &str) {
+        let state = lock_unpoisoned(&inner.state);
+        let count = |s: JobState| {
+            ids.iter()
+                .filter(|id| state.jobs.get(id).map(|j| j.state) == Some(s))
+                .count() as u64
+        };
+        let expected = (count(JobState::Queued), count(JobState::Running));
+        drop(state);
+        let stats = ServiceStats::from_snapshot(&inner.obs.registry().snapshot());
+        assert_eq!((stats.queued, stats.running), expected, "after {when}");
+    }
+
+    #[test]
+    fn a_fresh_node_registers_every_service_series() {
+        let service = RecoveryService::start(ServiceConfig::new().with_workers(1)).expect("start");
+        let snapshot = service.obs().registry().snapshot();
+        let missing: Vec<&str> = STATS_SERIES
+            .iter()
+            .map(|(name, _)| *name)
+            .filter(|name| snapshot.value(name).is_none())
+            .collect();
+        // Only the network edge's forwarding counters.
+        assert_eq!(
+            missing,
+            [ServiceStats::FORWARDED_JOBS, ServiceStats::FORWARD_ERRORS]
+        );
+    }
+
+    #[test]
+    fn queued_and_running_gauges_follow_job_states() {
+        let service = RecoveryService::start(ServiceConfig::new().with_workers(1)).expect("start");
+        let events = service.subscribe_all();
+        let (gate, release) = park_worker(&service, &events);
+        let mut ids = vec![gate];
+        assert_gauges_match(&service.inner, &ids, "parking the worker");
+
+        let trace = sample_trace();
+        let submit = |request: JobRequest| service.submit(request).expect("admitted");
+        let primary = submit(JobRequest::trace("t", trace.clone()));
+        ids.extend([primary, submit(JobRequest::trace("t", trace.clone()))]);
+        assert_eq!(service.stats().coalesced, 1);
+        assert_gauges_match(&service.inner, &ids, "a coalesce");
+
+        assert!(service.cancel(primary));
+        assert_eq!(service.stats().requeued, 1, "the waiter is promoted");
+        assert_gauges_match(&service.inner, &ids, "cancelling a queued primary");
+
+        // A waiter whose deadline passes before its primary finishes.
+        let late = submit(JobRequest::trace("t", trace).with_deadline(Duration::ZERO));
+        ids.push(late);
+        assert_gauges_match(&service.inner, &ids, "a second coalesce");
+        drop(release);
+        assert!(matches!(service.wait(late), Err(JobError::DeadlineExpired)));
+        assert!(service.wait_idle(Duration::from_secs(10)));
+        assert_gauges_match(&service.inner, &ids, "a waiter's deadline expiry");
+
+        // Shutdown with work queued: the queued jobs fail while the
+        // worker is still parked.
+        let (gate, release) = park_worker(&service, &events);
+        let queued = [
+            submit(JobRequest::trace("t", trace_of(7))),
+            submit(JobRequest::trace("t", trace_of(9))),
+        ];
+        ids.push(gate);
+        ids.extend(queued);
+        assert_gauges_match(&service.inner, &ids, "queueing behind a parked worker");
+        let inner = Arc::clone(&service.inner);
+        let watcher = std::thread::spawn(move || {
+            let mut failed = 0;
+            while failed < queued.len() {
+                let event = events
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("shutdown fails the queued jobs");
+                if let JobEvent::StateChanged {
+                    job,
+                    state: JobState::Failed,
+                } = event
+                {
+                    failed += usize::from(queued.contains(&job));
+                }
+            }
+            assert_gauges_match(&inner, &ids, "shutdown with work queued");
+            drop(release);
+        });
+        service.shutdown();
+        watcher.join().expect("gauges matched at shutdown");
     }
 
     #[test]

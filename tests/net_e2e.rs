@@ -365,9 +365,10 @@ fn protocol_violations_are_typed_errors() {
     let addr = server.local_addr();
     let max = wire::DEFAULT_MAX_FRAME_BYTES;
 
-    // A client from the past (a v4 build) or the future: no common
-    // version.
-    for (min_version, max_version) in [(1, 4), (7, 9)] {
+    // A client from the past (a v4 or v5 build) or the future: no
+    // common version. A v5 peer is turned away here, at Hello, not by
+    // an unknown stats tag mid-session.
+    for (min_version, max_version) in [(1, 4), (5, 5), (7, 9)] {
         let mut stream = TcpStream::connect(addr).expect("connect");
         wire::write_message(
             &mut stream,
@@ -589,6 +590,54 @@ fn restarted_server_answers_from_replayed_registry() {
     server.shutdown(Duration::from_secs(2));
     let _ = std::fs::remove_file(&registry_path);
     let _ = std::fs::remove_dir_all(&registry_path);
+}
+
+/// `Client::stats` reads the node's metrics exposition through the same
+/// name table as `RecoveryService::stats`, so the two agree field for
+/// field — also with the optional observability series switched off.
+#[test]
+fn remote_stats_equal_local_stats_with_observability_off() {
+    let trace = record_trace(&hamming::shortened(8));
+    // 16 + 120 one- and two-bit patterns: over the 100-pattern ceiling.
+    let too_large = record_trace(&hamming::shortened(16));
+    let service = Arc::new(
+        RecoveryService::start(
+            ServiceConfig::new()
+                .with_workers(1)
+                .with_max_patterns(100)
+                .with_observability(false),
+        )
+        .expect("start"),
+    );
+    let server =
+        NetServer::bind(Arc::clone(&service), "127.0.0.1:0", NetServerConfig::new()).expect("bind");
+    let mut client =
+        Client::connect(server.local_addr().to_string(), "alice", "").expect("connect");
+
+    // One solve, then the same profile again as a cache hit.
+    for from_cache in [false, true] {
+        let job = client.submit(&trace).expect("submit");
+        let output = client.wait(job).expect("watch").expect("solves");
+        assert_eq!(output.from_cache, from_cache);
+    }
+    // One rejection.
+    match client.submit(&too_large) {
+        Err(ClientError::Refused {
+            kind: ErrorKind::TooLarge { .. },
+            ..
+        }) => {}
+        other => panic!("expected a TooLarge refusal, got {other:?}"),
+    }
+
+    let local = service.stats();
+    assert_eq!(client.stats().expect("stats"), local);
+    assert_eq!(
+        (local.submitted, local.completed, local.cache_hits),
+        (2, 2, 1)
+    );
+    assert_eq!(local.rejected.too_large, 1);
+    assert_eq!((local.queued, local.running), (0, 0));
+    server.shutdown(Duration::from_secs(2));
 }
 
 /// A refused chunked upload must not desynchronize the connection: the

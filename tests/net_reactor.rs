@@ -123,22 +123,21 @@ fn slow_reader_is_shed_without_stalling_others() {
     let idle: Vec<TcpStream> = (0..idle_conns).map(|_| handshake(&addr, "crowd")).collect();
     let mut healthy = Client::connect(&addr, "alice", "").expect("connect");
 
-    // The slow reader floods pipelined QueryStats requests (5 bytes each,
-    // ~130-byte answers) without ever reading: kernel buffers fill, then
-    // the server-side queue hits its 32 KiB bound.
+    // The slow reader floods pipelined QueryMetrics requests (9 bytes
+    // each, answers of a few KiB) without ever reading: kernel buffers
+    // fill, then the server-side queue hits its 32 KiB bound.
     let mut slow = handshake(&addr, "sloth");
     slow.set_write_timeout(Some(Duration::from_millis(200)))
         .expect("timeout");
-    let batch: Vec<u8> = {
-        let mut one = Vec::new();
-        Message::QueryStats.encode_into(&mut one);
-        one.repeat(1000)
-    };
+    let mut one = Vec::new();
+    Message::QueryMetrics { tail: 0 }.encode_into(&mut one);
+    let frame_len = one.len();
+    let batch = one.repeat(1000);
     let send_deadline = Instant::now() + Duration::from_secs(10);
     let mut sent = 0usize;
     while sent < 64_000 && Instant::now() < send_deadline {
         match slow.write(&batch) {
-            Ok(n) => sent += n / 5,
+            Ok(n) => sent += n / frame_len,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
@@ -163,7 +162,7 @@ fn slow_reader_is_shed_without_stalling_others() {
     let mut shed = false;
     loop {
         match read_message(&mut slow, MAX_FRAME) {
-            Ok(Message::StatsInfo(_)) => answered += 1,
+            Ok(Message::MetricsInfo { .. }) => answered += 1,
             Ok(Message::Error {
                 kind: ErrorKind::Busy,
                 detail,
