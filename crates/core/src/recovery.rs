@@ -248,7 +248,8 @@ pub struct RoundPhases {
     pub collect: Duration,
     /// GF(2) preprocessing (variable pinning) over the accumulated facts.
     pub preprocess: Duration,
-    /// Encoding the thresholded facts into CNF.
+    /// Encoding the thresholded facts into CNF, which adds each clause to
+    /// the live solver as it is built.
     pub encode: Duration,
     /// The SAT uniqueness check (enumeration + lazy repairs).
     pub solve: Duration,

@@ -47,8 +47,8 @@ use crate::pattern::ChargedSet;
 use crate::preprocess::{preprocess, Preprocessed};
 use crate::profile::{Observation, ProfileConstraints};
 use beer_ecc::LinearCode;
-use beer_gf2::BitMatrix;
-use beer_sat::{CnfBuilder, Lit, SatResult, SolverSession, SolverStats, Var};
+use beer_gf2::{BitMatrix, BitVec};
+use beer_sat::{CnfBuilder, Lit, SatResult, SolverStats, Var};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -743,16 +743,10 @@ fn extract_matrix(
 /// anchored at the first occurrence) — the counterexamples the lazy
 /// distinctness scheme repairs.
 fn duplicate_column_pairs(m: &BitMatrix) -> Vec<(usize, usize)> {
-    let mut first: HashMap<u64, usize> = HashMap::new();
+    let mut first: HashMap<BitVec, usize> = HashMap::new();
     let mut dups = Vec::new();
     for c in 0..m.cols() {
-        let mut value = 0u64;
-        for r in 0..m.rows() {
-            if m.get(r, c) {
-                value |= 1 << r;
-            }
-        }
-        match first.entry(value) {
+        match first.entry(m.col(c)) {
             std::collections::hash_map::Entry::Occupied(e) => dups.push((*e.get(), c)),
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(c);
@@ -813,10 +807,11 @@ pub fn solve_profile(
 /// accumulated (when enabled), asserting any newly derived pins so the SAT
 /// search space shrinks as evidence accumulates.
 ///
-/// Blocking clauses from uniqueness checks live in an assumption scope that
-/// is retracted after each check ([`beer_sat::SolverSession`]), so they
-/// never leak into later rounds. Lazily derived distinctness constraints
-/// are permanent — they are implied by code validity.
+/// Each uniqueness check solves under one fresh guard assumption and adds
+/// its blocking clauses as `¬guard ∨ …`; asserting `¬guard` at the end of
+/// the check retracts them, so they never leak into later rounds. Lazily
+/// derived distinctness constraints are permanent — they are implied by
+/// code validity.
 ///
 /// # Examples
 ///
@@ -835,14 +830,13 @@ pub fn solve_profile(
 /// assert!(equivalence::equivalent(&report.solutions[0], &secret));
 /// ```
 pub struct ProgressiveSolver {
+    /// The encoding, whose builder owns the live solver.
     problem: EncodedProblem,
-    session: SolverSession,
     options: BeerSolverOptions,
     /// Every definite fact pushed so far (kept for solution verification
     /// and incremental preprocessing).
     accumulated: ProfileConstraints,
     facts_encoded: usize,
-    root_conflict: bool,
     /// Wall-clock split of the most recent [`ProgressiveSolver::push_constraints`]:
     /// `(encode, preprocess)`. Surfaced per round through
     /// [`RecoveryEvent::CheckCompleted`](crate::recovery::RecoveryEvent).
@@ -858,19 +852,14 @@ impl ProgressiveSolver {
     ///
     /// Panics if `parity_bits < 2` or `k == 0`.
     pub fn new(k: usize, parity_bits: usize, options: BeerSolverOptions) -> Self {
-        let mut problem = encode_base(k, parity_bits, &options);
-        let mut session = SolverSession::new();
-        let ok = problem.cnf.flush_into(session.solver_mut());
         ProgressiveSolver {
-            problem,
-            session,
+            problem: encode_base(k, parity_bits, &options),
             options,
             accumulated: ProfileConstraints {
                 k,
                 entries: Vec::new(),
             },
             facts_encoded: 0,
-            root_conflict: !ok,
             last_push_times: (Duration::ZERO, Duration::ZERO),
         }
     }
@@ -935,9 +924,6 @@ impl ProgressiveSolver {
             self.problem.apply_preprocessing(&pre);
         }
         let preprocess_time = preprocess_start.elapsed();
-        if !self.problem.cnf.flush_into(self.session.solver_mut()) {
-            self.root_conflict = true;
-        }
         self.last_push_times = (encode_time, preprocess_time);
         Ok(())
     }
@@ -950,7 +936,7 @@ impl ProgressiveSolver {
 
     /// Runs a uniqueness check over everything pushed so far: enumerates
     /// consistent ECC functions up to `options.max_solutions`, with the
-    /// blocking clauses retracted afterwards so the session stays clean for
+    /// blocking clauses retracted afterwards so the solver stays clean for
     /// the next round.
     ///
     /// # Panics
@@ -964,21 +950,17 @@ impl ProgressiveSolver {
         let mut determine_time = None;
         let mut repairs = 0usize;
 
-        if !self.root_conflict {
-            // The guard comes from the *encoder's* variable space so future
-            // constraint pushes can never collide with it.
+        if self.problem.cnf.solver().is_ok() {
+            // The guard is a fresh variable of the encoding, so no
+            // constraint pushed later can mention it.
             let guard = self.problem.cnf.new_var().positive();
-            self.session
-                .solver_mut()
-                .reserve_vars(self.problem.cnf.num_vars());
-            let scope = self.session.push_scope_with_guard(guard);
             loop {
-                let result = self.session.solve();
-                if result != SatResult::Sat {
+                let solver = self.problem.cnf.solver_mut();
+                if solver.solve_with_assumptions(&[guard]) != SatResult::Sat {
                     break;
                 }
                 let m = extract_matrix(
-                    |v| self.session.value(v),
+                    |v| solver.value(v),
                     &self.problem.p_vars,
                     self.problem.parity_bits,
                     self.problem.k,
@@ -987,14 +969,10 @@ impl ProgressiveSolver {
                 if !dups.is_empty() {
                     // Lazy distinctness repair: these constraints are
                     // implied by validity, so they go in permanently (not
-                    // into the retractable scope).
+                    // under the guard).
                     repairs += dups.len();
                     for (c1, c2) in dups {
                         self.problem.encode_pair_distinct(c1, c2);
-                    }
-                    if !self.problem.cnf.flush_into(self.session.solver_mut()) {
-                        self.root_conflict = true;
-                        break;
                     }
                     continue;
                 }
@@ -1012,17 +990,19 @@ impl ProgressiveSolver {
                     truncated = true;
                     break;
                 }
-                let block: Vec<Lit> = self
-                    .problem
-                    .p_vars
-                    .iter()
-                    .map(|&v| v.lit(self.session.value(v) != Some(true)))
-                    .collect();
-                if !self.session.add_scoped_clause(scope, &block) {
+                let mut block = vec![!guard];
+                block.extend(
+                    self.problem
+                        .p_vars
+                        .iter()
+                        .map(|&v| v.lit(solver.value(v) != Some(true))),
+                );
+                if !solver.add_clause(&block) {
                     break;
                 }
             }
-            self.session.pop_scope(scope);
+            // Retract this check's blocking clauses.
+            self.problem.cnf.solver_mut().add_clause(&[!guard]);
         }
 
         let (num_vars, num_clauses) = self.cnf_size();
@@ -1035,7 +1015,7 @@ impl ProgressiveSolver {
             num_clauses,
             distinctness_repairs: repairs,
             sim_ns: 0,
-            solver_stats: self.session.stats(),
+            solver_stats: self.problem.cnf.solver().stats(),
         }
     }
 }
@@ -1118,47 +1098,74 @@ mod tests {
     #[test]
     fn every_option_combination_agrees() {
         // The encodings, distinctness schemes, and preprocessing must all
-        // accept exactly the same codes.
+        // accept exactly the same codes. The unknown-only k = 4 profile is
+        // the input on which the lazy scheme repairs duplicate columns.
         let mut rng = StdRng::seed_from_u64(99);
         let code = hamming::random_sec(7, &mut rng);
-        let profile = analytic_profile(&code, &PatternSet::OneTwo.patterns(7));
-        let mut baseline: Option<Vec<BitMatrix>> = None;
-        for encoding in [
-            ObservationEncoding::Auto,
-            ObservationEncoding::SubsetReps,
-            ObservationEncoding::Linear,
-        ] {
-            for distinctness in [ColumnDistinctness::Lazy, ColumnDistinctness::Eager] {
-                for preprocess in [true, false] {
-                    let report = solve_profile(
-                        7,
-                        code.parity_bits(),
-                        &profile,
-                        &BeerSolverOptions {
-                            max_solutions: 64,
-                            encoding,
-                            distinctness,
-                            preprocess,
-                            ..BeerSolverOptions::default()
-                        },
-                    )
-                    .expect("valid profile");
-                    let mut matrices: Vec<BitMatrix> = report
-                        .solutions
-                        .iter()
-                        .map(|s| s.parity_submatrix().clone())
-                        .collect();
-                    matrices.sort_by_key(|m| format!("{m:?}"));
-                    match &baseline {
-                        None => baseline = Some(matrices),
-                        Some(b) => assert_eq!(
-                            b, &matrices,
-                            "{encoding:?}/{distinctness:?}/pre={preprocess} disagrees"
-                        ),
+        let inputs = [
+            (
+                code.parity_bits(),
+                analytic_profile(&code, &PatternSet::OneTwo.patterns(7)),
+            ),
+            (
+                3,
+                ProfileConstraints {
+                    k: 4,
+                    entries: vec![],
+                },
+            ),
+        ];
+        for (parity_bits, profile) in &inputs {
+            let mut baseline: Option<Vec<BitMatrix>> = None;
+            for encoding in [
+                ObservationEncoding::Auto,
+                ObservationEncoding::SubsetReps,
+                ObservationEncoding::Linear,
+            ] {
+                for distinctness in [ColumnDistinctness::Lazy, ColumnDistinctness::Eager] {
+                    for preprocess in [true, false] {
+                        let report = solve_profile(
+                            profile.k,
+                            *parity_bits,
+                            profile,
+                            &BeerSolverOptions {
+                                max_solutions: 64,
+                                encoding,
+                                distinctness,
+                                preprocess,
+                                ..BeerSolverOptions::default()
+                            },
+                        )
+                        .expect("valid profile");
+                        let mut matrices: Vec<BitMatrix> = report
+                            .solutions
+                            .iter()
+                            .map(|s| s.parity_submatrix().clone())
+                            .collect();
+                        matrices.sort_by_key(|m| format!("{m:?}"));
+                        match &baseline {
+                            None => baseline = Some(matrices),
+                            Some(b) => assert_eq!(
+                                b, &matrices,
+                                "k={}: {encoding:?}/{distinctness:?}/pre={preprocess} disagrees",
+                                profile.k
+                            ),
+                        }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn duplicate_columns_are_keyed_by_every_row() {
+        // Columns {row 0}, {row 64} and a copy of {row 0}: a 64-bit key
+        // would overflow at row 64 (or wrap it onto row 0).
+        let mut m = BitMatrix::zeros(65, 3);
+        m.set(0, 0, true);
+        m.set(64, 1, true);
+        m.set(0, 2, true);
+        assert_eq!(duplicate_column_pairs(&m), vec![(0, 2)]);
     }
 
     #[test]
@@ -1245,6 +1252,9 @@ mod tests {
         .expect("valid profile");
         assert_eq!(report.solutions.len(), 4);
         assert!(!report.truncated);
+        // With no facts, only the lazy repair loop separates columns, so
+        // this check creates variables while the solver holds a model.
+        assert!(report.distinctness_repairs > 0);
         // All solutions are pairwise inequivalent.
         for i in 0..report.solutions.len() {
             for j in (i + 1)..report.solutions.len() {
@@ -1254,6 +1264,11 @@ mod tests {
                 ));
             }
         }
+        // A cap below the class count stops the enumeration there.
+        let capped =
+            solve_profile(4, 3, &profile, &BeerSolverOptions::default()).expect("valid profile");
+        assert_eq!(capped.solutions.len(), 2);
+        assert!(capped.truncated);
     }
 
     #[test]

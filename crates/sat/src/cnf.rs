@@ -14,12 +14,16 @@ enum GateKey {
 
 /// A CNF formula under construction, with a Tseitin gate library.
 ///
-/// `CnfBuilder` accumulates variables and clauses, memoizing structurally
-/// identical gates so that BEER's large encodings (hundreds of thousands of
-/// XOR/AND terms over the same parity-check matrix entries, §5.3) stay
-/// compact. Call [`CnfBuilder::into_solver`] to obtain a loaded [`Solver`];
-/// further clauses (e.g. model-blocking clauses) can then be added directly
-/// to the solver.
+/// `CnfBuilder` owns the [`Solver`] it encodes into: every variable it
+/// creates is a solver variable, and every clause goes straight to
+/// [`Solver::add_clause`]. Structurally identical gates are memoized so
+/// that BEER's large encodings (hundreds of thousands of XOR/AND terms
+/// over the same parity-check matrix entries, §5.3) stay compact, and the
+/// memo outlives every solve: constraints encoded after a
+/// [`Solver::solve`] reuse the gates built before it. That is BEER's
+/// progressive solving (paper §6.3). Solve through
+/// [`CnfBuilder::solver_mut`], or take the solver with
+/// [`CnfBuilder::into_solver`].
 ///
 /// All gate outputs are full biconditional (both-polarity) encodings, so
 /// gate literals may be used under any polarity, including inside negative
@@ -40,12 +44,10 @@ enum GateKey {
 /// assert!((1..=2).contains(&ones));
 /// ```
 pub struct CnfBuilder {
-    num_vars: usize,
-    /// Clauses not yet shipped to a solver.
-    clauses: Vec<Vec<Lit>>,
-    /// How many clauses [`CnfBuilder::flush_into`] has shipped (and
-    /// dropped from `clauses`).
-    shipped: usize,
+    solver: Solver,
+    /// Clauses added through the builder (blocking clauses added to the
+    /// solver directly are not counted).
+    num_clauses: usize,
     gate_cache: HashMap<GateKey, Lit>,
     const_true: Option<Lit>,
 }
@@ -57,22 +59,19 @@ impl Default for CnfBuilder {
 }
 
 impl CnfBuilder {
-    /// Creates an empty builder.
+    /// Creates an empty builder over an empty solver.
     pub fn new() -> Self {
         CnfBuilder {
-            num_vars: 0,
-            clauses: Vec::new(),
-            shipped: 0,
+            solver: Solver::new(),
+            num_clauses: 0,
             gate_cache: HashMap::new(),
             const_true: None,
         }
     }
 
-    /// Creates a fresh variable.
+    /// Creates a fresh solver variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::new(self.num_vars);
-        self.num_vars += 1;
-        v
+        self.solver.new_var()
     }
 
     /// Creates a fresh variable and returns its positive literal.
@@ -82,17 +81,20 @@ impl CnfBuilder {
 
     /// Number of variables allocated so far.
     pub fn num_vars(&self) -> usize {
-        self.num_vars
+        self.solver.num_vars()
     }
 
-    /// Number of clauses added so far, shipped or pending.
+    /// Number of clauses added through the builder so far.
     pub fn num_clauses(&self) -> usize {
-        self.shipped + self.clauses.len()
+        self.num_clauses
     }
 
-    /// Adds a raw clause (a disjunction of literals).
+    /// Adds a raw clause (a disjunction of literals) to the solver. A
+    /// clause that leaves the formula unsatisfiable at the root shows as
+    /// `!self.solver().is_ok()`.
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.clauses.push(lits.to_vec());
+        self.num_clauses += 1;
+        self.solver.add_clause(lits);
     }
 
     /// Asserts that a literal holds (adds a unit clause).
@@ -335,48 +337,50 @@ impl CnfBuilder {
         }
     }
 
-    /// Consumes the builder and returns a solver loaded with the formula.
-    ///
-    /// # Panics
-    ///
-    /// If the builder was already flushed: the shipped clauses are gone,
-    /// so the new solver would silently miss them.
-    pub fn into_solver(mut self) -> Solver {
-        assert_eq!(
-            self.shipped, 0,
-            "into_solver on a flushed CnfBuilder would drop its shipped clauses"
-        );
-        let mut solver = Solver::new();
-        self.flush_into(&mut solver);
-        solver
+    /// The solver holding the formula (read a model or its statistics).
+    pub fn solver(&self) -> &Solver {
+        &self.solver
     }
 
-    /// Ships every clause added since the last flush into a live solver,
-    /// creating any new variables first. This keeps the builder usable as
-    /// an *incremental* encoder: Tseitin gates built before the flush stay
-    /// memoized, so constraints added later reuse them instead of
-    /// re-encoding — the mechanism behind BEER's progressive solving
-    /// (paper §6.3).
+    /// The solver holding the formula, to solve it or to add clauses the
+    /// builder does not count, such as model-blocking clauses.
     ///
-    /// Returns `false` if the solver derived a top-level conflict while
-    /// absorbing the new clauses (the formula is then permanently UNSAT).
+    /// # Examples
     ///
-    /// Shipped clauses are dropped from the builder, which keeps only
-    /// their count.
-    pub fn flush_into(&mut self, solver: &mut Solver) -> bool {
-        solver.reserve_vars(self.num_vars);
-        let pending = std::mem::take(&mut self.clauses);
-        self.shipped += pending.len();
-        let mut ok = true;
-        for c in pending {
-            ok &= solver.add_clause(&c);
-        }
-        ok
+    /// Enumerate models under a guard, then retract the blocking clauses:
+    ///
+    /// ```
+    /// use beer_sat::{CnfBuilder, SatResult};
+    ///
+    /// let mut cnf = CnfBuilder::new();
+    /// let a = cnf.new_lit();
+    /// let b = cnf.new_lit();
+    /// cnf.add_clause(&[a, b]);
+    ///
+    /// let guard = cnf.new_lit();
+    /// let s = cnf.solver_mut();
+    /// let mut models = 0;
+    /// while s.solve_with_assumptions(&[guard]) == SatResult::Sat {
+    ///     models += 1;
+    ///     let block = [
+    ///         !guard,
+    ///         a.var().lit(s.lit_value(a) != Some(true)),
+    ///         b.var().lit(s.lit_value(b) != Some(true)),
+    ///     ];
+    ///     s.add_clause(&block);
+    /// }
+    /// assert_eq!(models, 3);
+    /// s.add_clause(&[!guard]);
+    /// // With the blocking clauses retracted the formula is satisfiable again.
+    /// assert_eq!(s.solve(), SatResult::Sat);
+    /// ```
+    pub fn solver_mut(&mut self) -> &mut Solver {
+        &mut self.solver
     }
 
-    /// Number of clauses not yet shipped by [`CnfBuilder::flush_into`].
-    pub fn pending_clauses(&self) -> usize {
-        self.clauses.len()
+    /// Consumes the builder and returns the solver holding the formula.
+    pub fn into_solver(self) -> Solver {
+        self.solver
     }
 }
 
@@ -461,6 +465,26 @@ mod tests {
         let vars_before = cnf.num_vars();
         let _ = cnf.xor(a, b);
         assert_eq!(cnf.num_vars(), vars_before, "cache hit must not allocate");
+    }
+
+    #[test]
+    fn encoding_continues_after_a_solve() {
+        let mut cnf = CnfBuilder::new();
+        let a = cnf.new_lit();
+        let b = cnf.new_lit();
+        let x = cnf.xor(a, b);
+        cnf.assert_lit(x);
+        assert_eq!(cnf.solver_mut().solve(), SatResult::Sat);
+
+        // Keep encoding into the solved solver: the memoized XOR gate is
+        // reused, and a new clause reaches the solver at once.
+        let before = cnf.num_clauses();
+        assert_eq!(cnf.xor(a, b), x, "gate must be memoized across solves");
+        assert_eq!(cnf.num_clauses(), before);
+        cnf.assert_lit(a);
+        assert_eq!(cnf.num_clauses(), before + 1);
+        assert_eq!(cnf.solver_mut().solve(), SatResult::Sat);
+        assert_eq!(cnf.solver().lit_value(b), Some(false), "forced by x ∧ a");
     }
 
     #[test]
@@ -564,18 +588,6 @@ mod tests {
             s.add_clause(&block);
         }
         assert_eq!(count, 36);
-    }
-
-    #[test]
-    #[should_panic(expected = "into_solver on a flushed CnfBuilder")]
-    fn into_solver_refuses_a_flushed_builder() {
-        let mut cnf = CnfBuilder::new();
-        let a = cnf.new_lit();
-        cnf.assert_lit(a);
-        let mut solver = Solver::new();
-        assert!(cnf.flush_into(&mut solver));
-        assert_eq!((cnf.num_clauses(), cnf.pending_clauses()), (1, 0));
-        let _ = cnf.into_solver();
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!   re-run).
 //! * [`CnfBuilder`] — a circuit-to-CNF layer with memoized Tseitin gates
 //!   (AND/OR/XOR/IFF), cardinality constraints, and the lexicographic row
-//!   ordering used to canonicalize parity-check matrices. Builders can
-//!   flush incrementally into a live solver ([`CnfBuilder::flush_into`]),
-//!   keeping their gate memoization across flushes.
-//! * [`SolverSession`] — incremental solving with assumption-scoped,
-//!   retractable constraint groups: the substrate of BEER's progressive
-//!   collect-and-solve pipeline (§6.3), where each uniqueness check's
-//!   blocking clauses are retracted while learned clauses persist.
+//!   ordering used to canonicalize parity-check matrices. The builder owns
+//!   its solver and streams every clause into it, so encoding can resume
+//!   after any solve with the gate memo intact. That is the substrate of
+//!   BEER's progressive collect-and-solve pipeline (§6.3): each uniqueness
+//!   check solves under one fresh guard assumption, adds its blocking
+//!   clauses as `¬guard ∨ …`, and retracts them by asserting `¬guard`,
+//!   while everything the solver learned persists.
 //!
 //! # Examples
 //!
@@ -40,13 +40,9 @@
 //! ```
 
 mod cnf;
-mod enumerate;
-mod session;
 mod solver;
 mod types;
 
 pub use cnf::CnfBuilder;
-pub use enumerate::enumerate_models;
-pub use session::{ScopeId, SolverSession};
 pub use solver::{SatResult, Solver, SolverStats};
 pub use types::{LBool, Lit, Var};

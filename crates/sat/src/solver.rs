@@ -110,7 +110,6 @@ pub struct Solver {
     /// False once a top-level conflict is derived; the instance is then
     /// permanently unsatisfiable.
     ok: bool,
-    model_valid: bool,
 
     stats: SolverStats,
     max_learnts_base: f64,
@@ -144,7 +143,6 @@ impl Solver {
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
             ok: true,
-            model_valid: false,
             stats: SolverStats::default(),
             max_learnts_base: 4000.0,
         }
@@ -164,13 +162,6 @@ impl Solver {
         self.order_heap.insert(v, &self.activity);
         self.stats.vars += 1;
         v
-    }
-
-    /// Ensures variables `0..n` exist.
-    pub fn reserve_vars(&mut self, n: usize) {
-        while self.assigns.len() < n {
-            self.new_var();
-        }
     }
 
     /// Number of variables.
@@ -254,7 +245,6 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        self.model_valid = false;
 
         let mut ls: Vec<Lit> = lits.to_vec();
         for &l in &ls {
@@ -658,7 +648,6 @@ impl Solver {
             return SatResult::Unsat;
         }
         self.cancel_until(0);
-        self.model_valid = false;
         if self.propagate().is_some() {
             self.ok = false;
             return SatResult::Unsat;
@@ -728,10 +717,7 @@ impl Solver {
                     continue;
                 }
                 match self.pick_branch_var() {
-                    None => {
-                        self.model_valid = true;
-                        return SatResult::Sat;
-                    }
+                    None => return SatResult::Sat,
                     Some(v) => {
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
@@ -742,23 +728,8 @@ impl Solver {
             }
         }
     }
-
-    /// Returns the model as a vector of booleans indexed by variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the last `solve()` did not return `Sat` or a clause has
-    /// been added since.
-    pub fn model(&self) -> Vec<bool> {
-        assert!(self.model_valid, "no model available");
-        self.assigns
-            .iter()
-            .map(|a| a.to_option().unwrap_or(false))
-            .collect()
-    }
 }
 
-/// The Luby restart sequence: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8…
 fn luby(mut x: u64) -> u64 {
     // Find the finite subsequence that contains index x, then the position
     // of x within it (MiniSat's formulation, base 2).
@@ -1124,5 +1095,62 @@ mod tests {
         assert_eq!(s.solve(), SatResult::Unsat);
         assert!(!s.add_clause(&[b]));
         assert_eq!(s.solve(), SatResult::Unsat);
+    }
+
+    /// Counts the models of `v` under a fresh guard, blocking each with
+    /// `¬guard ∨ …`, then retracts the blocks by asserting `¬guard`.
+    fn count_guarded(s: &mut Solver, v: &[Lit]) -> usize {
+        let guard = s.new_var().positive();
+        let mut models = 0;
+        while s.solve_with_assumptions(&[guard]) == SatResult::Sat {
+            models += 1;
+            assert!(models <= 1 << v.len(), "a blocked model came back");
+            let mut block = vec![!guard];
+            block.extend(v.iter().map(|&l| l.var().lit(s.lit_value(l) != Some(true))));
+            s.add_clause(&block);
+        }
+        s.add_clause(&[!guard]);
+        models
+    }
+
+    #[test]
+    fn guarded_blocking_is_retractable() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 2);
+        s.add_clause(&[v[0], v[1]]);
+        for _round in 0..3 {
+            assert_eq!(count_guarded(&mut s, &v), 3, "every round re-enumerates");
+        }
+        assert_eq!(s.solve(), SatResult::Sat);
+    }
+
+    #[test]
+    fn permanent_clauses_narrow_later_guarded_rounds() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 3);
+        s.add_clause(&[v[0], v[1], v[2]]);
+        assert_eq!(count_guarded(&mut s, &v), 7);
+        // A permanent constraint added between rounds takes effect...
+        s.add_clause(&[!v[0]]);
+        assert_eq!(count_guarded(&mut s, &v), 3);
+        // ...and more constraints keep narrowing.
+        s.add_clause(&[!v[1]]);
+        assert_eq!(count_guarded(&mut s, &v), 1);
+    }
+
+    #[test]
+    fn guarded_unsat_does_not_poison_the_solver() {
+        let mut s = Solver::new();
+        let a = s.new_var().positive();
+        let guard = s.new_var().positive();
+        assert!(s.add_clause(&[!guard, a]));
+        assert!(s.add_clause(&[!guard, !a]));
+        assert_eq!(s.solve_with_assumptions(&[guard]), SatResult::Unsat);
+        assert!(
+            s.is_ok(),
+            "UNSAT under the guard alone is not a root conflict"
+        );
+        assert!(s.add_clause(&[!guard]));
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 }

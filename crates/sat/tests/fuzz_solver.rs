@@ -60,7 +60,9 @@ proptest! {
     fn solver_agrees_with_brute_force(clauses in clauses_strategy(8, 30)) {
         let expected = brute_force_sat(8, &clauses);
         let mut s = Solver::new();
-        s.reserve_vars(8);
+        for _ in 0..8 {
+            s.new_var();
+        }
         for c in &clauses {
             s.add_clause(c);
         }
@@ -78,14 +80,30 @@ proptest! {
 
     #[test]
     fn enumeration_matches_brute_force_count(clauses in clauses_strategy(6, 18)) {
+        // The loop BEER's uniqueness check runs: solve under a fresh guard
+        // and block each model with ¬guard ∨ …; then assert ¬guard, which
+        // must retract every block and nothing else.
         let expected = count_models_brute(6, &clauses);
         let mut s = Solver::new();
         let vars: Vec<Var> = (0..6).map(|_| s.new_var()).collect();
         for c in &clauses {
             s.add_clause(c);
         }
-        let got = beer_sat::enumerate_models(&mut s, &vars, 1 << 6, |_| {});
+        let guard = s.new_var().positive();
+        let mut got = 0;
+        while s.solve_with_assumptions(&[guard]) == SatResult::Sat {
+            got += 1;
+            prop_assert!(got <= expected, "a blocked model came back");
+            let mut block = vec![!guard];
+            block.extend(vars.iter().map(|&v| v.lit(s.value(v) != Some(true))));
+            s.add_clause(&block);
+        }
         prop_assert_eq!(got, expected);
+        // With a model left outside the guard, exhausting the blocks is not
+        // a root conflict.
+        prop_assert!(expected == 0 || s.is_ok());
+        s.add_clause(&[!guard]);
+        prop_assert_eq!(s.solve() == SatResult::Sat, expected > 0);
     }
 
     #[test]
@@ -94,7 +112,9 @@ proptest! {
         // answer; adding one clause of the formula late must also agree with
         // solving everything upfront.
         let mut s = Solver::new();
-        s.reserve_vars(7);
+        for _ in 0..7 {
+            s.new_var();
+        }
         let (last, rest) = match clauses.split_last() {
             Some(x) => x,
             None => return Ok(()),
