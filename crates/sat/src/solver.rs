@@ -1100,17 +1100,8 @@ mod tests {
     /// Counts the models of `v` under a fresh guard, blocking each with
     /// `¬guard ∨ …`, then retracts the blocks by asserting `¬guard`.
     fn count_guarded(s: &mut Solver, v: &[Lit]) -> usize {
-        let guard = s.new_var().positive();
-        let mut models = 0;
-        while s.solve_with_assumptions(&[guard]) == SatResult::Sat {
-            models += 1;
-            assert!(models <= 1 << v.len(), "a blocked model came back");
-            let mut block = vec![!guard];
-            block.extend(v.iter().map(|&l| l.var().lit(s.lit_value(l) != Some(true))));
-            s.add_clause(&block);
-        }
-        s.add_clause(&[!guard]);
-        models
+        let vars: Vec<Var> = v.iter().map(|l| l.var()).collect();
+        crate::enumerate::guarded(s, &vars, usize::MAX, |_| {})
     }
 
     #[test]
