@@ -74,7 +74,6 @@ fn main() {
                 &BeerSolverOptions {
                     max_solutions: cap,
                     symmetry_breaking: false,
-                    ..BeerSolverOptions::default()
                 },
             )
             .expect("well-formed profile");

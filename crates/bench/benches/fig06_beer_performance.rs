@@ -36,7 +36,6 @@ fn one_charged_session(code: &LinearCode, p: usize, max_solutions: usize) -> Rec
         .with_pattern_family(PatternSet::One)
         .with_solver_options(BeerSolverOptions {
             max_solutions,
-            verify_solutions: false,
             ..BeerSolverOptions::default()
         })
         .session(&mut backend)
@@ -190,7 +189,6 @@ fn progressive_vs_reencoding(scale: Scale) {
     let codes_per_k = scale.pick3(2, 5, 10);
     let options = BeerSolverOptions {
         max_solutions: 2,
-        verify_solutions: false,
         ..BeerSolverOptions::default()
     };
 

@@ -63,18 +63,6 @@ impl Preprocessed {
     pub fn pinned_vars(&self) -> usize {
         self.pinned.iter().filter(|p| p.is_some()).count()
     }
-
-    /// A no-op result (used when preprocessing is disabled).
-    pub fn empty(k: usize, parity_bits: usize) -> Self {
-        Preprocessed {
-            k,
-            parity_bits,
-            pinned: vec![None; parity_bits * k],
-            col_weight_lb: vec![2; k],
-            unsat: false,
-            facts_extracted: 0,
-        }
-    }
 }
 
 /// Smallest weight `w ≥ 2` whose support can contain `needed` distinct

@@ -6,10 +6,10 @@
 //! 1. *Basic linear code properties*: every data column of `H` has weight
 //!    ≥ 2 (distinct from the zero syndrome and the identity columns) and
 //!    data columns are pairwise distinct — exactly what single-error
-//!    correction requires. Distinctness is encoded either eagerly (the
-//!    classic `O(k²·p)` pairwise XOR grid) or *lazily*: models are checked
-//!    for duplicate columns and only offending pairs get a constraint, a
-//!    counterexample-guided loop that keeps the k = 128 encoding small.
+//!    correction requires. Distinctness is enforced *lazily*: models are
+//!    checked for duplicate columns and only offending pairs get a
+//!    constraint, a counterexample-guided loop that keeps the k = 128
+//!    encoding free of the `O(k²·p)` pairwise XOR grid.
 //! 2. *Canonical form*: rows of `P` in non-decreasing lexicographic order.
 //!    This is a complete symmetry break for the parity-bit relabeling
 //!    freedom (see `beer_ecc::equivalence`), so each *equivalence class*
@@ -18,28 +18,29 @@
 //! 3. *The miscorrection profile*: for every pattern `A` and bit `j` with
 //!    a definite observation, the closed-form predicate
 //!    `∃x ⊆ A: supp(P_j ⊕ ⊕_{a∈x} P_a) ⊆ supp(⊕_{a∈A} P_a)`
-//!    is asserted (observed) or refuted (not observed), via one of two
-//!    [`ObservationEncoding`]s:
+//!    is asserted (observed) or refuted (not observed). The pattern's
+//!    order picks one of two encodings:
 //!
-//!    * **Subset representatives** — enumerate the `2^{|A|−1}`
-//!      complement-classes of `x` explicitly. Compact for the paper's
-//!      `|A| ≤ 3` patterns, exponential beyond.
-//!    * **Linear (polynomial)** — the predicate only constrains rows
-//!      outside `supp(w)`, so it asks whether `P_j`, masked to those rows,
-//!      lies in the span of the masked charged columns. A positive fact is
-//!      a selector circuit (the solver picks `x`); a negative fact asserts
-//!      a GF(2) *dual witness* `y` orthogonal to every masked charged
-//!      column but not to `P_j` — such a `y` exists iff `P_j` is outside
-//!      the span. Both are `O(p·|A|)` and encode the §5.2 RANDOM and
-//!      ALL-charged patterns at any order.
+//!    * **Subset representatives** (`|A| ≤ 3`) — enumerate the
+//!      `2^{|A|−1}` complement-classes of `x` explicitly. Compact for the
+//!      paper's low orders, exponential beyond.
+//!    * **Linear (polynomial)** (`|A| > 3`) — the predicate only
+//!      constrains rows outside `supp(w)`, so it asks whether `P_j`, masked
+//!      to those rows, lies in the span of the masked charged columns. A
+//!      positive fact is a selector circuit (the solver picks `x`); a
+//!      negative fact asserts a GF(2) *dual witness* `y` orthogonal to
+//!      every masked charged column but not to `P_j` — such a `y` exists
+//!      iff `P_j` is outside the span. Both are `O(p·|A|)` and encode the
+//!      §5.2 RANDOM and ALL-charged patterns at any order.
 //!
-//! After each batch of facts is encoded, an optional [`crate::preprocess`]
-//! pass mines everything accumulated for pinned `P` entries and per-column
+//! After each batch of facts is encoded, the [`crate::preprocess`] pass
+//! mines everything accumulated for pinned `P` entries and per-column
 //! weight bounds; pins are asserted as units and constant-folded out of the
 //! observation circuits of *later* batches.
 //!
 //! Uniqueness checking enumerates models with blocking clauses until UNSAT
-//! or a caller-set cap — "Check Uniqueness" in Figure 6. There is one
+//! or a caller-set cap — "Check Uniqueness" in Figure 6 — and re-verifies
+//! every model against the closed-form profile. There is one
 //! implementation of the whole procedure, [`ProgressiveSolver`];
 //! [`solve_profile`] is a single push followed by a single check.
 
@@ -53,9 +54,10 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Largest pattern order the subset-representative encoding accepts
-/// (`2^{t−1}` representatives are materialized).
-pub const MAX_SUBSET_ORDER: usize = 16;
+/// Patterns up to this order use the subset-representative encoding, higher
+/// ones the polynomial one (EXPERIMENTS.md, "Observation encodings", has the
+/// per-order measurements behind the choice).
+const SUBSET_REPS_MAX_ORDER: usize = 3;
 
 /// A typed error from the solve entry points.
 ///
@@ -64,15 +66,6 @@ pub const MAX_SUBSET_ORDER: usize = 16;
 /// inputs surface as values instead of panics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolveError {
-    /// The selected [`ObservationEncoding`] cannot express a pattern of
-    /// this order (the subset-representative encoding is exponential and
-    /// capped at [`MAX_SUBSET_ORDER`]).
-    PatternOrderUnsupported {
-        /// The offending pattern's order.
-        order: usize,
-        /// The largest order the selected encoding supports.
-        max: usize,
-    },
     /// The constraints' (or one entry's) dataword length disagrees with
     /// the solver's.
     DatawordMismatch {
@@ -86,11 +79,6 @@ pub enum SolveError {
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolveError::PatternOrderUnsupported { order, max } => write!(
-                f,
-                "pattern order {order} exceeds the selected encoding's maximum {max} \
-                 (use ObservationEncoding::Linear for high-order patterns)"
-            ),
             SolveError::DatawordMismatch { expected, found } => {
                 write!(f, "constraint dataword length {found}, expected {expected}")
             }
@@ -99,51 +87,6 @@ impl fmt::Display for SolveError {
 }
 
 impl std::error::Error for SolveError {}
-
-/// How profile facts are turned into clauses (constraint 3 above).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ObservationEncoding {
-    /// Per-order choice: subset representatives for the paper's low
-    /// orders, the polynomial encoding beyond.
-    #[default]
-    Auto,
-    /// Always enumerate `2^{t−1}` subset representatives (orders up to
-    /// [`MAX_SUBSET_ORDER`] only).
-    SubsetReps,
-    /// Always use the polynomial selector/dual-witness encoding.
-    Linear,
-}
-
-impl ObservationEncoding {
-    /// Auto switches to the polynomial encoding above this order (the
-    /// representative count `2^{t−1}` overtakes the `O(p·t)` circuit).
-    const AUTO_SUBSET_MAX: usize = 3;
-
-    fn effective(self, order: usize) -> ObservationEncoding {
-        match self {
-            ObservationEncoding::Auto => {
-                if order <= Self::AUTO_SUBSET_MAX {
-                    ObservationEncoding::SubsetReps
-                } else {
-                    ObservationEncoding::Linear
-                }
-            }
-            other => other,
-        }
-    }
-}
-
-/// How pairwise column distinctness is enforced (constraint 1 above).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ColumnDistinctness {
-    /// Lazily: solve, detect duplicate columns in the model, constrain
-    /// only the offending pairs, repeat. Removes the `O(k²·p)` grid from
-    /// the encoding; real profiles separate almost all columns anyway.
-    #[default]
-    Lazy,
-    /// Eagerly: the full pairwise XOR grid, up front.
-    Eager,
-}
 
 /// Options for [`solve_profile`].
 #[derive(Clone, Copy, Debug)]
@@ -154,17 +97,6 @@ pub struct BeerSolverOptions {
     /// Canonical row ordering (on by default; turning it off makes every
     /// parity-bit relabeling appear as a separate solution).
     pub symmetry_breaking: bool,
-    /// Re-verify each solution against the profile with the closed-form
-    /// predicate (cheap, and guards the encoding against itself).
-    pub verify_solutions: bool,
-    /// Observation-to-clause translation.
-    pub encoding: ObservationEncoding,
-    /// Column-distinctness scheme.
-    pub distinctness: ColumnDistinctness,
-    /// Run the GF(2) propagation pass over 1-CHARGED facts after each
-    /// push and pin `P` variables for the pushes that follow (see
-    /// [`crate::preprocess`]).
-    pub preprocess: bool,
 }
 
 impl Default for BeerSolverOptions {
@@ -172,10 +104,6 @@ impl Default for BeerSolverOptions {
         BeerSolverOptions {
             max_solutions: 2,
             symmetry_breaking: true,
-            verify_solutions: true,
-            encoding: ObservationEncoding::Auto,
-            distinctness: ColumnDistinctness::Lazy,
-            preprocess: true,
         }
     }
 }
@@ -196,7 +124,7 @@ pub struct SolveReport {
     /// CNF size: clauses.
     pub num_clauses: usize,
     /// Column pairs constrained by the lazy-distinctness repair loop
-    /// during this solve (0 under the eager scheme).
+    /// during this solve.
     pub distinctness_repairs: usize,
     /// Simulated DRAM nanoseconds the collections feeding this check
     /// executed (`0` unless the profile came from a timed source through
@@ -365,9 +293,9 @@ impl EncodedProblem {
         self.cnf.at_least_k(&free, need);
     }
 
-    /// Emits the pairwise-distinctness constraint for one column pair
-    /// (shared by the eager grid and the lazy repair loop). Pinned rows
-    /// fold: a pinned disagreeing row discharges the pair entirely.
+    /// Emits the pairwise-distinctness constraint for one column pair (the
+    /// lazy repair loop's unit of work). Pinned rows fold: a pinned
+    /// disagreeing row discharges the pair entirely.
     fn encode_pair_distinct(&mut self, c1: usize, c2: usize) {
         let key = (c1.min(c2), c1.max(c2));
         if !self.distinct_done.insert(key) {
@@ -411,17 +339,16 @@ fn encode_base(k: usize, parity_bits: usize, options: &BeerSolverOptions) -> Enc
         encoded_lb: vec![2; k],
         distinct_done: HashSet::new(),
     };
-    encode_code_validity(&mut problem, options);
+    encode_column_weights(&mut problem);
     if options.symmetry_breaking {
         encode_row_order(&mut problem);
     }
     problem
 }
 
-/// Constraint 1: data columns have weight ≥ 2 and are pairwise distinct
-/// (the latter only when the eager scheme is selected; the lazy scheme
-/// adds pairs from counterexamples during enumeration).
-fn encode_code_validity(problem: &mut EncodedProblem, options: &BeerSolverOptions) {
+/// Constraint 1, up front: data columns have weight ≥ 2 (distinctness is
+/// added pair by pair from counterexamples during enumeration).
+fn encode_column_weights(problem: &mut EncodedProblem) {
     let (p, k) = (problem.parity_bits, problem.k);
     for c in 0..k {
         let col: Vec<Lit> = (0..p).map(|r| problem.p_lit(r, c)).collect();
@@ -434,13 +361,6 @@ fn encode_code_validity(problem: &mut EncodedProblem, options: &BeerSolverOption
                 .map(|r| problem.p_lit(r, c))
                 .collect();
             problem.cnf.at_least_one(&rest);
-        }
-    }
-    if options.distinctness == ColumnDistinctness::Eager {
-        for c1 in 0..k {
-            for c2 in (c1 + 1)..k {
-                problem.encode_pair_distinct(c1, c2);
-            }
         }
     }
 }
@@ -457,12 +377,11 @@ fn encode_row_order(problem: &mut EncodedProblem) {
 }
 
 /// Encodes one pattern's observations (constraint 3 above, one entry at a
-/// time). The caller has validated the entry with [`check_entry`].
+/// time). The caller has checked the entry's dataword length.
 fn encode_observation_entry(
     problem: &mut EncodedProblem,
     pattern: &ChargedSet,
     observations: &[Observation],
-    options: &BeerSolverOptions,
 ) {
     let p = problem.parity_bits;
     let charged = pattern.bits();
@@ -481,7 +400,6 @@ fn encode_observation_entry(
         }
         return;
     }
-    let encoding = options.encoding.effective(t);
 
     // w_r = ⊕_{a∈A} P[r][a]: the CHARGED parity-bit indicator (shared by
     // every observation of the entry).
@@ -496,43 +414,12 @@ fn encode_observation_entry(
         if obs == Observation::Unknown {
             continue;
         }
-        match encoding {
-            ObservationEncoding::SubsetReps => {
-                encode_fact_subset_reps(problem, charged, &w, j, obs);
-            }
-            ObservationEncoding::Linear => {
-                encode_fact_linear(problem, charged, &w, j, obs);
-            }
-            ObservationEncoding::Auto => unreachable!("effective() resolves Auto"),
+        if t <= SUBSET_REPS_MAX_ORDER {
+            encode_fact_subset_reps(problem, charged, &w, j, obs);
+        } else {
+            encode_fact_linear(problem, charged, &w, j, obs);
         }
     }
-}
-
-/// Refuses an entry the encoder cannot take: a dataword length other than
-/// `k`, or a pattern order beyond the selected encoding's cap (checked only
-/// for entries that carry a definite fact, since others encode nothing).
-fn check_entry(
-    k: usize,
-    pattern: &ChargedSet,
-    observations: &[Observation],
-    encoding: ObservationEncoding,
-) -> Result<(), SolveError> {
-    for found in [pattern.k(), observations.len()] {
-        if found != k {
-            return Err(SolveError::DatawordMismatch { expected: k, found });
-        }
-    }
-    let t = pattern.order();
-    if observations.iter().any(|&o| o != Observation::Unknown)
-        && encoding.effective(t) == ObservationEncoding::SubsetReps
-        && t > MAX_SUBSET_ORDER
-    {
-        return Err(SolveError::PatternOrderUnsupported {
-            order: t,
-            max: MAX_SUBSET_ORDER,
-        });
-    }
-    Ok(())
 }
 
 /// The subset-representative encoding of one (pattern, bit) fact.
@@ -804,8 +691,8 @@ pub fn solve_profile(
 /// optimization).
 ///
 /// Each push re-runs the GF(2) preprocessing pass over everything
-/// accumulated (when enabled), asserting any newly derived pins so the SAT
-/// search space shrinks as evidence accumulates.
+/// accumulated, asserting any newly derived pins so the SAT search space
+/// shrinks as evidence accumulates.
 ///
 /// Each uniqueness check solves under one fresh guard assumption and adds
 /// its blocking clauses as `¬guard ∨ …`; asserting `¬guard` at the end of
@@ -885,30 +772,29 @@ impl ProgressiveSolver {
     }
 
     /// Streams new constraints into the live session: encodes every entry,
-    /// then (when enabled) re-runs preprocessing over everything pushed so
-    /// far. Patterns already pushed should not be pushed again (their
+    /// then re-runs preprocessing over everything pushed so far. Patterns already pushed should not be pushed again (their
     /// clauses would be encoded twice — harmless but wasteful).
     ///
     /// # Errors
     ///
     /// Returns a [`SolveError`] if the constraints' or an entry's dataword
-    /// length differs from `k`, or an entry's pattern order is unsupported
-    /// by the selected encoding. Every entry is checked before any is
+    /// length differs from `k`. Every entry is checked before any is
     /// encoded, so a refused push leaves the solver unchanged.
     pub fn push_constraints(&mut self, constraints: &ProfileConstraints) -> Result<(), SolveError> {
         let k = self.problem.k;
-        if constraints.k != k {
-            return Err(SolveError::DatawordMismatch {
-                expected: k,
-                found: constraints.k,
-            });
-        }
-        for (pattern, observations) in &constraints.entries {
-            check_entry(k, pattern, observations, self.options.encoding)?;
+        let entry_lengths = constraints
+            .entries
+            .iter()
+            .flat_map(|(pattern, observations)| [pattern.k(), observations.len()]);
+        if let Some(found) = std::iter::once(constraints.k)
+            .chain(entry_lengths)
+            .find(|&n| n != k)
+        {
+            return Err(SolveError::DatawordMismatch { expected: k, found });
         }
         let encode_start = Instant::now();
         for (pattern, observations) in &constraints.entries {
-            encode_observation_entry(&mut self.problem, pattern, observations, &self.options);
+            encode_observation_entry(&mut self.problem, pattern, observations);
             self.facts_encoded += observations
                 .iter()
                 .filter(|&&o| o != Observation::Unknown)
@@ -919,10 +805,8 @@ impl ProgressiveSolver {
         }
         let encode_time = encode_start.elapsed();
         let preprocess_start = Instant::now();
-        if self.options.preprocess {
-            let pre = preprocess(self.problem.k, self.problem.parity_bits, &self.accumulated);
-            self.problem.apply_preprocessing(&pre);
-        }
+        let pre = preprocess(self.problem.k, self.problem.parity_bits, &self.accumulated);
+        self.problem.apply_preprocessing(&pre);
         let preprocess_time = preprocess_start.elapsed();
         self.last_push_times = (encode_time, preprocess_time);
         Ok(())
@@ -941,8 +825,9 @@ impl ProgressiveSolver {
     ///
     /// # Panics
     ///
-    /// Panics if `options.verify_solutions` is set and a solution violates
-    /// the accumulated constraints (an encoding bug).
+    /// Panics if a solution violates the accumulated constraints, or a
+    /// model repeats a column pair the repair loop already constrained
+    /// (both are encoding bugs).
     pub fn check(&mut self) -> SolveReport {
         let start = Instant::now();
         let mut solutions: Vec<LinearCode> = Vec::new();
@@ -969,21 +854,28 @@ impl ProgressiveSolver {
                 if !dups.is_empty() {
                     // Lazy distinctness repair: these constraints are
                     // implied by validity, so they go in permanently (not
-                    // under the guard).
+                    // under the guard). No model repeats a pair that is
+                    // already constrained, so every pair must be new; an
+                    // old one would make this loop find the same model
+                    // forever.
+                    let before = self.problem.distinct_done.len();
                     repairs += dups.len();
-                    for (c1, c2) in dups {
+                    for &(c1, c2) in &dups {
                         self.problem.encode_pair_distinct(c1, c2);
                     }
+                    assert_eq!(
+                        self.problem.distinct_done.len(),
+                        before + dups.len(),
+                        "lazy repair met an already constrained pair — encoding bug"
+                    );
                     continue;
                 }
                 let code = LinearCode::from_parity_submatrix(m)
                     .expect("SAT constraints guarantee a valid SEC code");
-                if self.options.verify_solutions {
-                    assert!(
-                        crate::analytic::code_matches_constraints(&code, &self.accumulated),
-                        "SAT solution violates the profile — encoding bug"
-                    );
-                }
+                assert!(
+                    crate::analytic::code_matches_constraints(&code, &self.accumulated),
+                    "SAT solution violates the profile — encoding bug"
+                );
                 determine_time.get_or_insert_with(|| start.elapsed());
                 solutions.push(code);
                 if solutions.len() >= self.options.max_solutions {
@@ -1096,68 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn every_option_combination_agrees() {
-        // The encodings, distinctness schemes, and preprocessing must all
-        // accept exactly the same codes. The unknown-only k = 4 profile is
-        // the input on which the lazy scheme repairs duplicate columns.
-        let mut rng = StdRng::seed_from_u64(99);
-        let code = hamming::random_sec(7, &mut rng);
-        let inputs = [
-            (
-                code.parity_bits(),
-                analytic_profile(&code, &PatternSet::OneTwo.patterns(7)),
-            ),
-            (
-                3,
-                ProfileConstraints {
-                    k: 4,
-                    entries: vec![],
-                },
-            ),
-        ];
-        for (parity_bits, profile) in &inputs {
-            let mut baseline: Option<Vec<BitMatrix>> = None;
-            for encoding in [
-                ObservationEncoding::Auto,
-                ObservationEncoding::SubsetReps,
-                ObservationEncoding::Linear,
-            ] {
-                for distinctness in [ColumnDistinctness::Lazy, ColumnDistinctness::Eager] {
-                    for preprocess in [true, false] {
-                        let report = solve_profile(
-                            profile.k,
-                            *parity_bits,
-                            profile,
-                            &BeerSolverOptions {
-                                max_solutions: 64,
-                                encoding,
-                                distinctness,
-                                preprocess,
-                                ..BeerSolverOptions::default()
-                            },
-                        )
-                        .expect("valid profile");
-                        let mut matrices: Vec<BitMatrix> = report
-                            .solutions
-                            .iter()
-                            .map(|s| s.parity_submatrix().clone())
-                            .collect();
-                        matrices.sort_by_key(|m| format!("{m:?}"));
-                        match &baseline {
-                            None => baseline = Some(matrices),
-                            Some(b) => assert_eq!(
-                                b, &matrices,
-                                "k={}: {encoding:?}/{distinctness:?}/pre={preprocess} disagrees",
-                                profile.k
-                            ),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn duplicate_columns_are_keyed_by_every_row() {
         // Columns {row 0}, {row 64} and a copy of {row 0}: a 64-bit key
         // would overflow at row 64 (or wrap it onto row 0).
@@ -1217,7 +1047,6 @@ mod tests {
             &BeerSolverOptions {
                 max_solutions: 50,
                 symmetry_breaking: false,
-                ..BeerSolverOptions::default()
             },
         )
         .expect("valid profile");
@@ -1275,9 +1104,8 @@ mod tests {
     fn contradictory_profile_is_unsat() {
         // Claim: every 1-CHARGED pattern miscorrects every other bit. For
         // k=4, p=3 that forces supp(P_j) ⊆ supp(P_a) for all pairs — i.e.
-        // all supports equal, contradicting column distinctness. The
-        // preprocessing pass catches this before SAT; with it disabled the
-        // solver must reach the same answer.
+        // all supports equal, contradicting column distinctness (the
+        // preprocessing pass catches this before SAT).
         let code = hamming::eq1_code();
         let base = analytic_profile(&code, &PatternSet::One.patterns(4));
         let all_miscorrect = ProfileConstraints {
@@ -1297,23 +1125,12 @@ mod tests {
                 })
                 .collect(),
         };
-        for preprocess in [true, false] {
-            let report = solve_profile(
-                4,
-                3,
-                &all_miscorrect,
-                &BeerSolverOptions {
-                    verify_solutions: false,
-                    preprocess,
-                    ..BeerSolverOptions::default()
-                },
-            )
+        let report = solve_profile(4, 3, &all_miscorrect, &BeerSolverOptions::default())
             .expect("well-formed constraints");
-            assert!(
-                report.solutions.is_empty(),
-                "mutual containment must be UNSAT (preprocess={preprocess})"
-            );
-        }
+        assert!(
+            report.solutions.is_empty(),
+            "mutual containment must be UNSAT"
+        );
     }
 
     #[test]
@@ -1330,16 +1147,8 @@ mod tests {
         profile
             .entries
             .push((empty.clone(), vec![Observation::NoMiscorrection; 4]));
-        let report = solve_profile(
-            4,
-            3,
-            &profile,
-            &BeerSolverOptions {
-                verify_solutions: false,
-                ..BeerSolverOptions::default()
-            },
-        )
-        .expect("order-0 must not error");
+        let report = solve_profile(4, 3, &profile, &BeerSolverOptions::default())
+            .expect("order-0 must not error");
         assert_eq!(report.solutions.len(), 1);
         assert!(equivalence::equivalent(&report.solutions[0], &code));
 
@@ -1350,75 +1159,42 @@ mod tests {
             k: 4,
             entries: vec![(empty, obs)],
         };
-        let report = solve_profile(
-            4,
-            3,
-            &impossible,
-            &BeerSolverOptions {
-                verify_solutions: false,
-                ..BeerSolverOptions::default()
-            },
-        )
-        .expect("order-0 must not error");
+        let report = solve_profile(4, 3, &impossible, &BeerSolverOptions::default())
+            .expect("order-0 must not error");
         assert!(report.solutions.is_empty());
     }
 
     #[test]
-    fn oversized_orders_error_only_under_subset_reps() {
+    fn order_18_pattern_solves_at_k24() {
+        // Orders past the subset-representative range go to the polynomial
+        // encoding, which has no order cap.
         let k = 24;
         let code = hamming::shortened(k);
         let big = ChargedSet::new((0..18).collect(), k);
         let profile = analytic_profile(&code, std::slice::from_ref(&big));
-        let err = solve_profile(
-            k,
-            code.parity_bits(),
-            &profile,
-            &BeerSolverOptions {
-                encoding: ObservationEncoding::SubsetReps,
-                ..BeerSolverOptions::default()
-            },
-        )
-        .expect_err("order 18 exceeds the subset-representative cap");
-        assert_eq!(
-            err,
-            SolveError::PatternOrderUnsupported {
-                order: 18,
-                max: MAX_SUBSET_ORDER
-            }
-        );
-        assert!(err.to_string().contains("order 18"));
-        // The default (Auto) encoding handles the same entry fine.
-        let report = solve_profile(
-            k,
-            code.parity_bits(),
-            &profile,
-            &BeerSolverOptions {
-                verify_solutions: false,
-                ..BeerSolverOptions::default()
-            },
-        )
-        .expect("Auto must route high orders to the Linear encoding");
+        let options = BeerSolverOptions::default();
+        let report = solve_profile(k, code.parity_bits(), &profile, &options)
+            .expect("high orders must encode");
         assert!(!report.solutions.is_empty());
     }
 
     #[test]
     fn refused_push_leaves_the_solver_unchanged() {
         // Every entry is validated before any is encoded: a push whose last
-        // entry exceeds the subset-representative cap encodes nothing, not
-        // the valid prefix.
+        // entry is over another dataword length encodes nothing, not the
+        // valid prefix.
         let k = 24;
         let code = hamming::shortened(k);
         let valid = analytic_profile(&code, &PatternSet::One.patterns(k));
-        let big = ChargedSet::new((0..18).collect(), k);
         let mut mixed = valid.clone();
-        mixed
-            .entries
-            .extend(analytic_profile(&code, std::slice::from_ref(&big)).entries);
+        mixed.entries.push((
+            ChargedSet::new(vec![0], k + 1),
+            vec![Observation::NoMiscorrection; k + 1],
+        ));
         let mut solver = ProgressiveSolver::new(
             k,
             code.parity_bits(),
             BeerSolverOptions {
-                encoding: ObservationEncoding::SubsetReps,
                 max_solutions: 8,
                 ..BeerSolverOptions::default()
             },
@@ -1426,9 +1202,9 @@ mod tests {
         let (facts, size) = (solver.facts_encoded(), solver.cnf_size());
         assert_eq!(
             solver.push_constraints(&mixed),
-            Err(SolveError::PatternOrderUnsupported {
-                order: 18,
-                max: MAX_SUBSET_ORDER
+            Err(SolveError::DatawordMismatch {
+                expected: k,
+                found: k + 1
             })
         );
         assert_eq!(solver.facts_encoded(), facts);
@@ -1627,14 +1403,7 @@ mod tests {
 
     #[test]
     fn contradictory_push_reports_unsat_cleanly() {
-        let mut solver = ProgressiveSolver::new(
-            4,
-            3,
-            BeerSolverOptions {
-                verify_solutions: false,
-                ..BeerSolverOptions::default()
-            },
-        );
+        let mut solver = ProgressiveSolver::new(4, 3, BeerSolverOptions::default());
         // A directly contradictory pair: the same pattern observed both
         // ways at the same bit.
         let pattern = ChargedSet::new(vec![0], 4);

@@ -75,9 +75,7 @@ pub mod prelude {
     pub use beer_core::collect::{ChipKnowledge, CollectionPlan};
     pub use beer_core::direct::extract_by_injection;
     pub use beer_core::preprocess::{preprocess, Preprocessed};
-    pub use beer_core::solve::{
-        progressive_batches, ColumnDistinctness, ObservationEncoding, ProgressiveSolver, SolveError,
-    };
+    pub use beer_core::solve::{progressive_batches, ProgressiveSolver, SolveError};
     pub use beer_core::{
         run_session_guarded, solve_profile, try_collect_traced, try_collect_with, AnalyticBackend,
         BeerSolverOptions, BudgetReason, CancelToken, ChargedSet, ChipBackend, EinsimBackend,

@@ -146,7 +146,6 @@ fn under_tested_profiles_do_not_poison_the_sat_instance() {
         &constraints,
         &BeerSolverOptions {
             max_solutions: 64,
-            verify_solutions: false,
             ..BeerSolverOptions::default()
         },
     )

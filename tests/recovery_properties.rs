@@ -36,7 +36,7 @@ proptest! {
             k,
             code.parity_bits(),
             &profile,
-            &BeerSolverOptions { max_solutions: 16, verify_solutions: false, ..BeerSolverOptions::default() },
+            &BeerSolverOptions { max_solutions: 16, ..BeerSolverOptions::default() },
         ).expect("well-formed profile");
         prop_assert!(!report.solutions.is_empty());
         let mut found_original = false;

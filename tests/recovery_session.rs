@@ -352,10 +352,6 @@ fn inconsistent_profiles_finish_with_a_typed_outcome() {
         .with_parity_bits(3)
         .with_batches(vec![patterns])
         .with_filter(ThresholdFilter::trusting())
-        .with_solver_options(BeerSolverOptions {
-            verify_solutions: false,
-            ..BeerSolverOptions::default()
-        })
         .session(&mut replay)
         .run_to_completion()
         .expect("replay serves the recorded pattern");
