@@ -320,7 +320,8 @@ impl EncodedProblem {
 }
 
 /// Encodes the profile-independent part of the instance (constraints 1–2):
-/// code validity and, if enabled, the canonical row order.
+/// column weights (distinctness is repaired lazily) and, if enabled, the
+/// canonical row order.
 ///
 /// # Panics
 ///
