@@ -989,6 +989,68 @@ mod tests {
     }
 
     #[test]
+    fn every_option_combination_agrees() {
+        // With and without the row-order symmetry break, and at any cap,
+        // the solver must describe the same codes: the unbroken run finds
+        // every row permutation of each canonical solution and nothing
+        // else. The unknown-only k = 4 profile is the input on which the
+        // lazy scheme repairs duplicate columns.
+        let mut rng = StdRng::seed_from_u64(99);
+        let code = hamming::random_sec(7, &mut rng);
+        let inputs = [
+            (
+                code.parity_bits(),
+                analytic_profile(&code, &PatternSet::OneTwo.patterns(7)),
+            ),
+            (
+                3,
+                ProfileConstraints {
+                    k: 4,
+                    entries: vec![],
+                },
+            ),
+        ];
+        for (parity_bits, profile) in &inputs {
+            let k = profile.k;
+            let solve = |max_solutions, symmetry_breaking| {
+                let report = solve_profile(
+                    k,
+                    *parity_bits,
+                    profile,
+                    &BeerSolverOptions {
+                        max_solutions,
+                        symmetry_breaking,
+                    },
+                )
+                .expect("valid profile");
+                let matrices: HashSet<BitMatrix> = report
+                    .solutions
+                    .iter()
+                    .map(|s| s.parity_submatrix().clone())
+                    .collect();
+                assert_eq!(matrices.len(), report.solutions.len(), "a solution repeats");
+                (matrices, report.truncated)
+            };
+            let (canonical, truncated) = solve(4096, true);
+            assert!(!truncated && !canonical.is_empty(), "k={k}");
+            for m in &canonical {
+                assert_eq!(&m.with_sorted_rows(), m, "k={k}: rows out of order");
+            }
+            let (all, truncated) = solve(4096, false);
+            assert!(!truncated, "k={k}");
+            assert!(all.len() > canonical.len(), "k={k}");
+            let sorted: HashSet<BitMatrix> = all.iter().map(BitMatrix::with_sorted_rows).collect();
+            assert_eq!(sorted, canonical, "k={k}: symmetry break disagrees");
+            for (symmetry_breaking, full) in [(true, &canonical), (false, &all)] {
+                let (capped, truncated) = solve(2, symmetry_breaking);
+                assert_eq!(capped.len(), full.len().min(2), "k={k}");
+                assert_eq!(truncated, full.len() >= 2, "k={k}");
+                assert!(capped.is_subset(full), "k={k}: capped run disagrees");
+            }
+        }
+    }
+
+    #[test]
     fn duplicate_columns_are_keyed_by_every_row() {
         // Columns {row 0}, {row 64} and a copy of {row 0}: a 64-bit key
         // would overflow at row 64 (or wrap it onto row 0).

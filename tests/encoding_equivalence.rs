@@ -1,202 +1,82 @@
-//! Property tests pinning the two observation encodings — and the GF(2)
-//! preprocessing pass — to each other.
+//! Pins the lazy column-distinctness repair to one answer however its
+//! repairs arrive.
 //!
-//! The subset-representative encoding enumerates `2^{t−1}` complement
-//! classes; the polynomial encoding replaces that with a selector circuit
-//! (positive facts) and a GF(2) dual witness (negative facts). They are
-//! different CNF circuits for the same closed-form predicate, so they must
-//! accept *exactly* the same `P` matrices — as must every combination of
-//! distinctness scheme and preprocessing, which only ever add implied
-//! constraints.
+//! Distinctness is never encoded up front: each model with duplicate
+//! columns gets those pairs constrained and the search resumes. The
+//! constraints are permanent, so a `ProgressiveSolver` that checks after
+//! every push repairs early, on weak profiles, and carries those repairs
+//! into later rounds, while `solve_profile` repairs once against the whole
+//! profile. Both must accept exactly the same `P` matrices, each with
+//! pairwise distinct columns. `tests/solution_oracle.rs` checks the same
+//! sets against brute force on smaller shapes.
 
 use beer::prelude::*;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
-/// Enumerates every accepted `P` matrix under the given options, as a
-/// canonically sorted list of debug renderings (stable comparison key).
-fn solution_set(
-    k: usize,
-    parity_bits: usize,
-    constraints: &ProfileConstraints,
-    options: &BeerSolverOptions,
-) -> Vec<String> {
-    let report =
-        solve_profile(k, parity_bits, constraints, options).expect("all test orders are encodable");
-    assert!(
-        !report.truncated,
-        "solution cap hit — raise max_solutions for an exact comparison"
-    );
-    let mut set: Vec<String> = report
-        .solutions
-        .iter()
-        .map(|s| format!("{:?}", s.parity_submatrix()))
-        .collect();
-    set.sort();
-    set
-}
+/// High enough that no final check stops at the cap.
+const CAP: usize = 4096;
 
-fn options_with(encoding: ObservationEncoding, preprocess: bool) -> BeerSolverOptions {
+fn options() -> BeerSolverOptions {
     BeerSolverOptions {
-        max_solutions: 4096,
-        verify_solutions: false,
-        encoding,
-        preprocess,
+        max_solutions: CAP,
         ..BeerSolverOptions::default()
     }
 }
 
-/// A mixed-order pattern set: everything from order 1 up to `max_t` that
-/// the small dataword supports, drawn deterministically.
-fn mixed_patterns(k: usize, max_t: usize, seed: u64) -> Vec<ChargedSet> {
-    let mut patterns = PatternSet::One.patterns(k);
-    for t in 2..=max_t.min(k) {
-        patterns.extend(
-            PatternSet::RandomT {
-                t,
-                count: 3,
-                seed: seed ^ t as u64,
-            }
-            .patterns(k),
-        );
+/// The accepted matrices as column masks, after checking the report is
+/// complete, repeats nothing and has distinct columns everywhere.
+fn solution_set(report: &SolveReport, what: &str) -> BTreeSet<Vec<u64>> {
+    assert!(!report.truncated, "{what}: solver stopped at its cap");
+    let set: BTreeSet<Vec<u64>> = report
+        .solutions
+        .iter()
+        .map(|code| (0..code.k()).map(|c| code.data_column(c).bits()).collect())
+        .collect();
+    assert_eq!(
+        set.len(),
+        report.solutions.len(),
+        "{what}: a solution repeats"
+    );
+    for columns in &set {
+        let distinct: BTreeSet<u64> = columns.iter().copied().collect();
+        assert_eq!(distinct.len(), columns.len(), "{what}: duplicate columns");
     }
-    patterns
+    set
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Tentpole invariant: for every order t ≤ 6 the polynomial encoding
-    /// and the subset-representative encoding accept exactly the same
-    /// P matrices.
-    #[test]
-    fn subset_and_linear_encodings_accept_the_same_matrices(
-        k in 4usize..8,
-        seed in any::<u64>(),
-    ) {
-        let code = hamming::random_sec(k, &mut StdRng::seed_from_u64(seed));
-        let p = code.parity_bits();
-        let profile = analytic_profile(&code, &mixed_patterns(k, 6, seed));
-        let subset = solution_set(k, p, &profile,
-            &options_with(ObservationEncoding::SubsetReps, false));
-        let linear = solution_set(k, p, &profile,
-            &options_with(ObservationEncoding::Linear, false));
-        prop_assert_eq!(&subset, &linear, "encodings disagree (k={}, seed={})", k, seed);
-        prop_assert!(!subset.is_empty(), "true code must be accepted");
-    }
-
-    /// GF(2) preprocessing only asserts implied facts: the solution set
-    /// with the pass enabled is identical to the set without it.
-    #[test]
-    fn preprocessing_never_changes_the_solution_set(
-        k in 4usize..8,
-        seed in any::<u64>(),
-    ) {
-        let code = hamming::random_sec(k, &mut StdRng::seed_from_u64(seed));
-        let p = code.parity_bits();
-        let profile = analytic_profile(&code, &mixed_patterns(k, 4, seed));
-        let plain = solution_set(k, p, &profile,
-            &options_with(ObservationEncoding::Auto, false));
-        let preprocessed = solution_set(k, p, &profile,
-            &options_with(ObservationEncoding::Auto, true));
-        prop_assert_eq!(&plain, &preprocessed,
-            "preprocessing changed the solution set (k={}, seed={})", k, seed);
-    }
-
-    /// Corrupted profiles (bit-flipped observations) must still agree
-    /// across encodings and preprocessing — including when they become
-    /// unsatisfiable.
-    #[test]
-    fn encodings_agree_on_corrupted_profiles(
-        k in 4usize..7,
-        seed in any::<u64>(),
-        flips in 1usize..4,
-    ) {
-        let code = hamming::random_sec(k, &mut StdRng::seed_from_u64(seed));
-        let p = code.parity_bits();
-        let mut profile = analytic_profile(&code, &mixed_patterns(k, 5, seed));
-        // Deterministically flip a few definite observations.
-        let mut flipped = 0;
-        'outer: for (ei, (_, obs)) in profile.entries.iter_mut().enumerate() {
-            for (bi, o) in obs.iter_mut().enumerate() {
-                if (ei * 31 + bi * 17 + seed as usize).is_multiple_of(7) {
-                    *o = match *o {
-                        Observation::Miscorrection => Observation::NoMiscorrection,
-                        Observation::NoMiscorrection => Observation::Miscorrection,
-                        Observation::Unknown => continue,
-                    };
-                    flipped += 1;
-                    if flipped >= flips {
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        let subset = solution_set(k, p, &profile,
-            &options_with(ObservationEncoding::SubsetReps, false));
-        let linear = solution_set(k, p, &profile,
-            &options_with(ObservationEncoding::Linear, false));
-        let pre = solution_set(k, p, &profile,
-            &options_with(ObservationEncoding::Linear, true));
-        prop_assert_eq!(&subset, &linear,
-            "encodings disagree on a corrupted profile (k={}, seed={})", k, seed);
-        prop_assert_eq!(&subset, &pre,
-            "preprocessing disagrees on a corrupted profile (k={}, seed={})", k, seed);
-    }
-}
-
-/// Deterministic spot check across every distinctness scheme (cheap enough
-/// to run exhaustively rather than under proptest).
+/// Deterministic spot check: one repair pass against the whole 1-CHARGED
+/// profile vs repairs spread over two rounds of three patterns.
 #[test]
 fn distinctness_schemes_accept_the_same_matrices() {
+    let mut progressive_repairs = 0;
     for seed in 0u64..8 {
         let k = 6;
         let code = hamming::random_sec(k, &mut StdRng::seed_from_u64(seed));
         let p = code.parity_bits();
         let profile = analytic_profile(&code, &PatternSet::One.patterns(k));
-        let mut sets = Vec::new();
-        for distinctness in [ColumnDistinctness::Lazy, ColumnDistinctness::Eager] {
-            sets.push(solution_set(
-                k,
-                p,
-                &profile,
-                &BeerSolverOptions {
-                    max_solutions: 4096,
-                    verify_solutions: false,
-                    distinctness,
-                    ..BeerSolverOptions::default()
-                },
-            ));
-        }
-        assert_eq!(
-            sets[0], sets[1],
-            "distinctness schemes disagree, seed {seed}"
-        );
-    }
-}
+        let what = format!("seed {seed}");
 
-/// Order-0 and ALL-charged entries ride along without changing anything:
-/// they carry no (satisfiable) information for a valid profile.
-#[test]
-fn degenerate_orders_are_neutral_for_true_profiles() {
-    let k = 5;
-    let code = hamming::random_sec(k, &mut StdRng::seed_from_u64(9));
-    let p = code.parity_bits();
-    let base = analytic_profile(&code, &PatternSet::One.patterns(k));
-    let mut extended = base.clone();
-    // ALL-charged: every bit charged ⇒ all observations Unknown.
-    extended
-        .entries
-        .extend(analytic_profile(&code, &PatternSet::All.patterns(k)).entries);
-    // Order 0: all bits discharged ⇒ vacuous NoMiscorrection facts.
-    extended.entries.push((
-        ChargedSet::new(vec![], k),
-        vec![Observation::NoMiscorrection; k],
-    ));
-    let opts = options_with(ObservationEncoding::Auto, true);
-    assert_eq!(
-        solution_set(k, p, &base, &opts),
-        solution_set(k, p, &extended, &opts)
-    );
+        let once = solve_profile(k, p, &profile, &options()).expect("valid profile");
+        let once = solution_set(&once, &format!("{what}, one push"));
+        assert!(!once.is_empty(), "{what}: the true code must be accepted");
+
+        let mut solver = ProgressiveSolver::new(k, p, options());
+        let mut last = None;
+        for entries in profile.entries.chunks(3) {
+            solver
+                .push_constraints(&ProfileConstraints {
+                    k,
+                    entries: entries.to_vec(),
+                })
+                .expect("valid profile");
+            let report = solver.check();
+            progressive_repairs += report.distinctness_repairs;
+            last = Some(report);
+        }
+        let spread = solution_set(&last.expect("k > 0 entries"), &format!("{what}, spread"));
+        assert_eq!(once, spread, "distinctness repairs disagree, {what}");
+    }
+    assert!(progressive_repairs > 0, "no round needed the repair");
 }
