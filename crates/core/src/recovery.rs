@@ -201,7 +201,7 @@ pub enum RecoveryEvent {
         round: usize,
         /// Definite facts this batch contributed.
         new_facts: usize,
-        /// Definite facts encoded so far.
+        /// Definite facts accepted so far (the `max_facts` budget unit).
         total_facts: usize,
         /// `P` variables pinned by GF(2) preprocessing so far.
         pinned_vars: usize,
@@ -767,7 +767,8 @@ pub struct RecoveryStats {
     pub patterns_used: usize,
     /// Patterns the full schedule would collect.
     pub patterns_available: usize,
-    /// Definite facts encoded into the SAT session.
+    /// Definite facts accepted (the `max_facts` budget unit), including
+    /// the implied order-1 negative facts the SAT encoding skips.
     pub facts_encoded: usize,
     /// `P` variables pinned by GF(2) preprocessing.
     pub pinned_vars: usize,

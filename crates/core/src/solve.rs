@@ -33,6 +33,12 @@
 //!      iff `P_j` is outside the span. Both are `O(p·|A|)` and encode the
 //!      §5.2 RANDOM and ALL-charged patterns at any order.
 //!
+//!    An order-1 `NoMiscorrection` fact that the other observed order-1
+//!    facts imply is left out of the CNF
+//!    ([`ProgressiveSolver::push_constraints`] has the rules and why the
+//!    solution set stays the same); the flagship (136, 128) profile needs
+//!    only a few hundred of its ~14.8k negative facts.
+//!
 //! After each batch of facts is encoded, the [`crate::preprocess`] pass
 //! mines everything accumulated for pinned `P` entries and per-column
 //! weight bounds; pins are asserted as units and constant-folded out of the
@@ -74,6 +80,15 @@ pub enum SolveError {
         /// The offending dataword length.
         found: usize,
     },
+    /// An entry has a definite observation at one of its CHARGED bits,
+    /// where no miscorrection can be observed (§4.2.1): only DISCHARGED
+    /// bits are tested.
+    ChargedBitObserved {
+        /// Index of the entry within the pushed constraints.
+        entry: usize,
+        /// The CHARGED bit.
+        bit: usize,
+    },
 }
 
 impl fmt::Display for SolveError {
@@ -82,6 +97,10 @@ impl fmt::Display for SolveError {
             SolveError::DatawordMismatch { expected, found } => {
                 write!(f, "constraint dataword length {found}, expected {expected}")
             }
+            SolveError::ChargedBitObserved { entry, bit } => write!(
+                f,
+                "entry {entry} has a definite observation at its CHARGED bit {bit}"
+            ),
         }
     }
 }
@@ -685,6 +704,61 @@ pub fn solve_profile(
 // Progressive solving
 // ---------------------------------------------------------------------------
 
+/// Every order-1 fact pushed so far, as support containment between
+/// columns (§4.2.2: pattern `{a}` miscorrects bit `j` iff
+/// `supp(P_j) ⊆ supp(P_a)`; "⊆" below means support containment).
+struct ContainmentFacts {
+    /// Row `a` holds every `j` with `P_j ⊆ P_a` observed.
+    inside: BitMatrix,
+    /// Row `a` holds every `j` with `P_j ⊄ P_a` observed.
+    outside: BitMatrix,
+    /// Row `j` holds every `a` with `P_j ⊆ P_a` observed (`inside`
+    /// transposed).
+    covers: BitMatrix,
+    /// Row `j` holds every `a` with `P_j ⊄ P_a` observed (`outside`
+    /// transposed).
+    misses: BitMatrix,
+}
+
+impl ContainmentFacts {
+    fn new(k: usize) -> Self {
+        ContainmentFacts {
+            inside: BitMatrix::zeros(k, k),
+            outside: BitMatrix::zeros(k, k),
+            covers: BitMatrix::zeros(k, k),
+            misses: BitMatrix::zeros(k, k),
+        }
+    }
+
+    /// Records the observations of pattern `{a}`.
+    fn record(&mut self, a: usize, observations: &[Observation]) {
+        for (j, &obs) in observations.iter().enumerate() {
+            let (by_a, by_j) = match obs {
+                Observation::Miscorrection => (&mut self.inside, &mut self.covers),
+                Observation::NoMiscorrection => (&mut self.outside, &mut self.misses),
+                Observation::Unknown => continue,
+            };
+            by_a.set(a, j, true);
+            by_j.set(j, a, true);
+        }
+    }
+
+    /// True if the observed fact `P_j ⊄ P_a` need not be encoded, because
+    /// another observed negative fact and an encoded positive one imply it:
+    ///
+    /// 1. some `b` has `P_a ⊆ P_b` and `P_j ⊄ P_b`, or
+    /// 2. some `i` has `P_i ⊆ P_j` and `P_i ⊄ P_a`.
+    ///
+    /// Facts at CHARGED bits are refused at push time, so `b` and `i` are
+    /// never `a` or `j`. The justifying negative fact may itself be
+    /// skipped: see [`ProgressiveSolver::push_constraints`] for why every
+    /// chain of justifications ends at an encoded fact.
+    fn implies_outside(&self, a: usize, j: usize) -> bool {
+        self.covers.row(a).intersects(self.misses.row(j))
+            || self.inside.row(j).intersects(self.outside.row(a))
+    }
+}
+
 /// An incremental BEER solver: constraints stream in pattern by pattern and
 /// are pushed into a live SAT session, so each uniqueness check reuses the
 /// encoding *and* every clause the solver learned in earlier rounds,
@@ -722,8 +796,11 @@ pub struct ProgressiveSolver {
     problem: EncodedProblem,
     options: BeerSolverOptions,
     /// Every definite fact pushed so far (kept for solution verification
-    /// and incremental preprocessing).
+    /// and incremental preprocessing), including the order-1 negative
+    /// facts the encoding skips.
     accumulated: ProfileConstraints,
+    /// The order-1 part of `accumulated`, as column relations.
+    containments: ContainmentFacts,
     facts_encoded: usize,
     /// Wall-clock split of the most recent [`ProgressiveSolver::push_constraints`]:
     /// `(encode, preprocess)`. Surfaced per round through
@@ -747,6 +824,7 @@ impl ProgressiveSolver {
                 k,
                 entries: Vec::new(),
             },
+            containments: ContainmentFacts::new(k),
             facts_encoded: 0,
             last_push_times: (Duration::ZERO, Duration::ZERO),
         }
@@ -757,7 +835,8 @@ impl ProgressiveSolver {
         self.problem.k
     }
 
-    /// Number of definite facts encoded so far.
+    /// Number of definite facts accepted so far (the `max_facts` budget
+    /// unit), whether or not the encoding needed them.
     pub fn facts_encoded(&self) -> usize {
         self.facts_encoded
     }
@@ -773,13 +852,25 @@ impl ProgressiveSolver {
     }
 
     /// Streams new constraints into the live session: encodes every entry,
-    /// then re-runs preprocessing over everything pushed so far. Patterns already pushed should not be pushed again (their
-    /// clauses would be encoded twice — harmless but wasteful).
+    /// then re-runs preprocessing over everything pushed so far. Patterns
+    /// already pushed should not be pushed again (their clauses would be
+    /// encoded twice — harmless but wasteful).
+    ///
+    /// An order-1 `NoMiscorrection` fact that other observed facts imply
+    /// (the two rules of `ContainmentFacts::implies_outside`) is recorded
+    /// but not encoded; the relations include this push's facts. This
+    /// leaves the solution set unchanged. [`ProgressiveSolver::check`]
+    /// accepts only models with distinct columns. In such a model a
+    /// violated skipped fact `P_j ⊄ P_a` forces its justifying negative
+    /// fact to be violated too, with `|P_x| − |P_y|` strictly larger (rule
+    /// 1: `P_a ⊊ P_b`; rule 2: `P_i ⊊ P_j`). So every chain of
+    /// justifications ends at a violated encoded fact, which no model has.
     ///
     /// # Errors
     ///
     /// Returns a [`SolveError`] if the constraints' or an entry's dataword
-    /// length differs from `k`. Every entry is checked before any is
+    /// length differs from `k`, or an entry has a definite observation at
+    /// one of its CHARGED bits. Every entry is checked before any is
     /// encoded, so a refused push leaves the solver unchanged.
     pub fn push_constraints(&mut self, constraints: &ProfileConstraints) -> Result<(), SolveError> {
         let k = self.problem.k;
@@ -793,9 +884,34 @@ impl ProgressiveSolver {
         {
             return Err(SolveError::DatawordMismatch { expected: k, found });
         }
+        for (entry, (pattern, observations)) in constraints.entries.iter().enumerate() {
+            let mut charged = pattern.bits().iter();
+            if let Some(&bit) = charged.find(|&&b| observations[b] != Observation::Unknown) {
+                return Err(SolveError::ChargedBitObserved { entry, bit });
+            }
+        }
         let encode_start = Instant::now();
         for (pattern, observations) in &constraints.entries {
-            encode_observation_entry(&mut self.problem, pattern, observations);
+            if let &[a] = pattern.bits() {
+                self.containments.record(a, observations);
+            }
+        }
+        for (pattern, observations) in &constraints.entries {
+            if let &[a] = pattern.bits() {
+                let needed: Vec<Observation> = observations
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &obs)| match obs {
+                        Observation::NoMiscorrection if self.containments.implies_outside(a, j) => {
+                            Observation::Unknown
+                        }
+                        _ => obs,
+                    })
+                    .collect();
+                encode_observation_entry(&mut self.problem, pattern, &needed);
+            } else {
+                encode_observation_entry(&mut self.problem, pattern, observations);
+            }
             self.facts_encoded += observations
                 .iter()
                 .filter(|&&o| o != Observation::Unknown)
@@ -1279,6 +1395,114 @@ mod tests {
             .solutions
             .iter()
             .any(|s| equivalence::equivalent(s, &code)));
+    }
+
+    #[test]
+    fn charged_bit_observations_are_refused_at_push_time() {
+        // A CHARGED bit is never tested, so a definite fact there is
+        // malformed input: a Miscorrection would reach the re-verification
+        // in `check()` and a NoMiscorrection would make the instance UNSAT.
+        let code = hamming::eq1_code();
+        let profile = analytic_profile(&code, &PatternSet::One.patterns(4));
+        let entry = profile
+            .entries
+            .iter()
+            .position(|(pattern, _)| pattern.bits() == [0])
+            .expect("pattern {0} is 1-CHARGED");
+        let mut solver = ProgressiveSolver::new(4, 3, BeerSolverOptions::default());
+        let (facts, size) = (solver.facts_encoded(), solver.cnf_size());
+        for obs in [Observation::Miscorrection, Observation::NoMiscorrection] {
+            let mut bad = profile.clone();
+            bad.entries[entry].1[0] = obs;
+            assert_eq!(
+                solver.push_constraints(&bad),
+                Err(SolveError::ChargedBitObserved { entry, bit: 0 }),
+                "{obs:?}"
+            );
+            assert_eq!(solver.facts_encoded(), facts, "{obs:?}");
+            assert_eq!(solver.cnf_size(), size, "{obs:?}");
+        }
+        solver.push_constraints(&profile).unwrap();
+        assert!(solver.check().is_unique());
+    }
+
+    /// A pattern-`{a}` entry over `k = 6` with one definite fact, at bit
+    /// `j`: `Miscorrection` observes `P_j ⊆ P_a`, `NoMiscorrection`
+    /// observes `P_j ⊄ P_a` (supports).
+    fn order1_fact(a: usize, j: usize, obs: Observation) -> Entry {
+        let mut observations = vec![Observation::Unknown; 6];
+        observations[j] = obs;
+        (ChargedSet::new(vec![a], 6), observations)
+    }
+
+    type Entry = (ChargedSet, Vec<Observation>);
+
+    /// CNF size of a fresh (p, k) = (4, 6) solver after each of `pushes`.
+    fn cnf_sizes<const N: usize>(pushes: [Vec<Entry>; N]) -> [(usize, usize); N] {
+        let mut solver = ProgressiveSolver::new(6, 4, BeerSolverOptions::default());
+        pushes.map(|entries| {
+            solver
+                .push_constraints(&ProfileConstraints { k: 6, entries })
+                .unwrap();
+            solver.cnf_size()
+        })
+    }
+
+    /// Rule 1 with b = 1: P_0 ⊆ P_1 and P_2 ⊄ P_1 imply P_2 ⊄ P_0.
+    fn superset_justification() -> Vec<Entry> {
+        vec![
+            order1_fact(1, 0, Observation::Miscorrection),
+            order1_fact(1, 2, Observation::NoMiscorrection),
+        ]
+    }
+
+    #[test]
+    fn negative_fact_implied_through_a_superset_is_not_encoded() {
+        // The implied fact comes first in the push: the relations hold the
+        // whole push before anything is encoded.
+        let mut with_fact = vec![order1_fact(0, 2, Observation::NoMiscorrection)];
+        with_fact.extend(superset_justification());
+        assert_eq!(
+            cnf_sizes([with_fact]),
+            cnf_sizes([superset_justification()])
+        );
+    }
+
+    #[test]
+    fn negative_fact_implied_through_a_subset_is_not_encoded() {
+        // Rule 2 with i = 3: P_3 ⊆ P_2 and P_3 ⊄ P_0 imply P_2 ⊄ P_0.
+        let justification = vec![
+            order1_fact(2, 3, Observation::Miscorrection),
+            order1_fact(0, 3, Observation::NoMiscorrection),
+        ];
+        let mut with_fact = vec![order1_fact(0, 2, Observation::NoMiscorrection)];
+        with_fact.extend(justification.clone());
+        assert_eq!(cnf_sizes([with_fact]), cnf_sizes([justification]));
+    }
+
+    #[test]
+    fn justification_from_an_earlier_push_still_skips_the_fact() {
+        let [before, after] = cnf_sizes([
+            superset_justification(),
+            vec![order1_fact(0, 2, Observation::NoMiscorrection)],
+        ]);
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn reversed_containment_does_not_justify_a_skip() {
+        // P_1 ⊆ P_0 and P_2 ⊄ P_1 do not imply P_2 ⊄ P_0 (P_2 may sit in
+        // P_0 outside P_1), so the fact must be encoded. (Pushed together,
+        // the fact would instead justify skipping P_2 ⊄ P_1, by rule 1.)
+        let [(vars, clauses), (vars_after, clauses_after)] = cnf_sizes([
+            vec![
+                order1_fact(0, 1, Observation::Miscorrection),
+                order1_fact(1, 2, Observation::NoMiscorrection),
+            ],
+            vec![order1_fact(0, 2, Observation::NoMiscorrection)],
+        ]);
+        assert!(vars_after > vars, "{vars_after} vars vs {vars}");
+        assert!(clauses_after > clauses, "{clauses_after} vs {clauses}");
     }
 
     #[test]

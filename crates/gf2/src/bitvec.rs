@@ -225,6 +225,16 @@ impl BitVec {
             .all(|(a, b)| a & !b == 0)
     }
 
+    /// Returns `true` if `self` and `other` share a set bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub fn intersects(&self, other: &BitVec) -> bool {
+        assert_eq!(self.len, other.len, "intersection of different lengths");
+        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    }
+
     /// Leading (lowest-index) set bit, if any.
     pub fn first_one(&self) -> Option<usize> {
         for (wi, &w) in self.words.iter().enumerate() {
@@ -470,6 +480,8 @@ mod tests {
         assert!(small.is_subset_of(&big));
         assert!(!big.is_subset_of(&small));
         assert!(BitVec::zeros(8).is_subset_of(&small));
+        assert!(small.intersects(&big));
+        assert!(!BitVec::zeros(8).intersects(&big));
     }
 
     #[test]
