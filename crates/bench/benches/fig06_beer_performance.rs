@@ -8,9 +8,9 @@
 //! memory jump when the code crosses into the next parity-bit count.
 //! Absolute numbers are far below the paper's (57 h median for k = 128 on
 //! Z3) because this reproduction encodes the closed-form miscorrection
-//! predicate instead of quantifying over raw error patterns, preprocesses
-//! 1-CHARGED facts over GF(2), and derives column distinctness lazily —
-//! see EXPERIMENTS.md.
+//! predicate instead of quantifying over raw error patterns, encodes only the
+//! 1-CHARGED negative facts the other facts do not imply, and derives column
+//! distinctness lazily — see EXPERIMENTS.md.
 
 use beer_bench::{banner, fmt_bytes, fmt_duration, CsvArtifact, Scale};
 use beer_core::engine::AnalyticBackend;

@@ -61,7 +61,6 @@ pub mod direct;
 pub mod engine;
 pub mod layout_probe;
 pub mod pattern;
-pub mod preprocess;
 pub mod profile;
 pub mod recovery;
 pub mod runtime;

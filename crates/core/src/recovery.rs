@@ -203,7 +203,8 @@ pub enum RecoveryEvent {
         new_facts: usize,
         /// Definite facts accepted so far (the `max_facts` budget unit).
         total_facts: usize,
-        /// `P` variables pinned by GF(2) preprocessing so far.
+        /// `P` variables the SAT solver holds fixed at decision level 0
+        /// after this push.
         pinned_vars: usize,
     },
     /// The lazy column-distinctness loop repaired counterexamples during
@@ -246,7 +247,9 @@ pub enum RecoveryEvent {
 pub struct RoundPhases {
     /// Collecting the batch's miscorrection profile from the backend.
     pub collect: Duration,
-    /// GF(2) preprocessing (variable pinning) over the accumulated facts.
+    /// Recording the batch's order-1 facts into the column relations
+    /// that decide which implied negative facts the encoding skips
+    /// ([`ProgressiveSolver::last_push_times`](crate::solve::ProgressiveSolver::last_push_times)).
     pub preprocess: Duration,
     /// Encoding the thresholded facts into CNF, which adds each clause to
     /// the live solver as it is built.
@@ -770,7 +773,7 @@ pub struct RecoveryStats {
     /// Definite facts accepted (the `max_facts` budget unit), including
     /// the implied order-1 negative facts the SAT encoding skips.
     pub facts_encoded: usize,
-    /// `P` variables pinned by GF(2) preprocessing.
+    /// `P` variables the SAT solver holds fixed at decision level 0.
     pub pinned_vars: usize,
     /// Wall-clock time since the session started.
     pub elapsed: Duration,

@@ -39,11 +39,6 @@
 //!    solution set stays the same); the flagship (136, 128) profile needs
 //!    only a few hundred of its ~14.8k negative facts.
 //!
-//! After each batch of facts is encoded, the [`crate::preprocess`] pass
-//! mines everything accumulated for pinned `P` entries and per-column
-//! weight bounds; pins are asserted as units and constant-folded out of the
-//! observation circuits of *later* batches.
-//!
 //! Uniqueness checking enumerates models with blocking clauses until UNSAT
 //! or a caller-set cap — "Check Uniqueness" in Figure 6 — and re-verifies
 //! every model against the closed-form profile. There is one
@@ -51,7 +46,6 @@
 //! [`solve_profile`] is a single push followed by a single check.
 
 use crate::pattern::ChargedSet;
-use crate::preprocess::{preprocess, Preprocessed};
 use crate::profile::{Observation, ProfileConstraints};
 use beer_ecc::LinearCode;
 use beer_gf2::{BitMatrix, BitVec};
@@ -161,23 +155,6 @@ impl SolveReport {
     }
 }
 
-/// A literal with constant folding: pinned `P` entries become constants so
-/// preprocessing prunes gates before the CNF ever sees them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum FLit {
-    Const(bool),
-    Is(Lit),
-}
-
-impl FLit {
-    fn negate(self) -> FLit {
-        match self {
-            FLit::Const(b) => FLit::Const(!b),
-            FLit::Is(l) => FLit::Is(!l),
-        }
-    }
-}
-
 /// The encoded instance: builder plus the `P`-matrix variables
 /// (`vars[r * k + c]` is `P[r][c]`).
 struct EncodedProblem {
@@ -189,10 +166,6 @@ struct EncodedProblem {
     parity_bits: usize,
     /// Data bits (columns of `P`).
     k: usize,
-    /// Preprocessing pins, row-major (`None` = free variable).
-    pins: Vec<Option<bool>>,
-    /// Weight lower bound already encoded per column.
-    encoded_lb: Vec<usize>,
     /// Column pairs whose distinctness constraint has been emitted.
     distinct_done: HashSet<(usize, usize)>,
 }
@@ -202,17 +175,15 @@ impl EncodedProblem {
         self.p_vars[r * self.k + c].positive()
     }
 
-    /// The folded view of `P[r][c]`.
-    fn f_p(&self, r: usize, c: usize) -> FLit {
-        match self.pins[r * self.k + c] {
-            Some(b) => FLit::Const(b),
-            None => FLit::Is(self.p_lit(r, c)),
-        }
-    }
-
-    /// Number of `P` variables pinned by preprocessing.
+    /// Number of `P` variables the solver holds fixed at decision level 0.
+    /// Every public solver call leaves the solver at the root (adding a
+    /// clause backtracks there), so an assigned variable is a fixed one.
     fn pinned_vars(&self) -> usize {
-        self.pins.iter().filter(|p| p.is_some()).count()
+        let solver = self.cnf.solver();
+        self.p_vars
+            .iter()
+            .filter(|&&v| solver.value(v).is_some())
+            .count()
     }
 
     /// Asserts an always-false constraint (the instance is UNSAT).
@@ -221,120 +192,20 @@ impl EncodedProblem {
         self.cnf.add_clause(&[!t]);
     }
 
-    /// XOR with constant folding.
-    fn fxor(&mut self, terms: &[FLit]) -> FLit {
-        let mut parity = false;
-        let mut lits: Vec<Lit> = Vec::with_capacity(terms.len());
-        for &t in terms {
-            match t {
-                FLit::Const(b) => parity ^= b,
-                FLit::Is(l) => lits.push(l),
-            }
-        }
-        if lits.is_empty() {
-            return FLit::Const(parity);
-        }
-        let x = self.cnf.xor_many(&lits);
-        FLit::Is(if parity { !x } else { x })
-    }
-
-    /// AND with constant folding.
-    fn fand(&mut self, a: FLit, b: FLit) -> FLit {
-        match (a, b) {
-            (FLit::Const(false), _) | (_, FLit::Const(false)) => FLit::Const(false),
-            (FLit::Const(true), x) | (x, FLit::Const(true)) => x,
-            (FLit::Is(la), FLit::Is(lb)) => FLit::Is(self.cnf.and(&[la, lb])),
-        }
-    }
-
-    /// Adds a clause with constant folding; an empty residue is a
-    /// contradiction.
-    fn fclause(&mut self, lits: &[FLit]) {
-        let mut out: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            match l {
-                FLit::Const(true) => return,
-                FLit::Const(false) => {}
-                FLit::Is(l) => out.push(l),
-            }
-        }
-        if out.is_empty() {
-            self.contradiction();
-        } else {
-            self.cnf.add_clause(&out);
-        }
-    }
-
-    /// Installs preprocessing output: unit-asserts new pins and tightens
-    /// per-column weight bounds. Sound for any constraint stream because
-    /// every pin/bound is implied by validity plus the observations.
-    fn apply_preprocessing(&mut self, pre: &Preprocessed) {
-        if pre.unsat {
-            self.contradiction();
-            return;
-        }
-        for idx in 0..self.pins.len() {
-            if let (None, Some(v)) = (self.pins[idx], pre.pinned[idx]) {
-                self.pins[idx] = Some(v);
-                let lit = self.p_vars[idx].lit(v);
-                self.cnf.assert_lit(lit);
-            }
-        }
-        for c in 0..self.k {
-            if pre.col_weight_lb[c] > self.encoded_lb[c] {
-                let bound = pre.col_weight_lb[c];
-                self.encode_column_weight(c, bound);
-                self.encoded_lb[c] = bound;
-            }
-        }
-    }
-
-    /// Asserts weight ≥ `bound` for column `c`, folding pinned entries.
-    fn encode_column_weight(&mut self, c: usize, bound: usize) {
-        let p = self.parity_bits;
-        let mut ones = 0usize;
-        let mut free: Vec<Lit> = Vec::new();
-        for r in 0..p {
-            match self.f_p(r, c) {
-                FLit::Const(true) => ones += 1,
-                FLit::Const(false) => {}
-                FLit::Is(l) => free.push(l),
-            }
-        }
-        let need = bound.saturating_sub(ones);
-        if need == 0 {
-            return;
-        }
-        if need > free.len() {
-            self.contradiction();
-            return;
-        }
-        self.cnf.at_least_k(&free, need);
-    }
-
     /// Emits the pairwise-distinctness constraint for one column pair (the
-    /// lazy repair loop's unit of work). Pinned rows fold: a pinned
-    /// disagreeing row discharges the pair entirely.
+    /// lazy repair loop's unit of work): some row differs.
     fn encode_pair_distinct(&mut self, c1: usize, c2: usize) {
         let key = (c1.min(c2), c1.max(c2));
         if !self.distinct_done.insert(key) {
             return;
         }
-        let p = self.parity_bits;
-        let mut diffs: Vec<FLit> = Vec::with_capacity(p);
-        for r in 0..p {
-            let a = self.f_p(r, c1);
-            let b = self.f_p(r, c2);
-            let d = match (a, b) {
-                (FLit::Const(x), FLit::Const(y)) => FLit::Const(x != y),
-                (FLit::Const(x), FLit::Is(l)) | (FLit::Is(l), FLit::Const(x)) => {
-                    FLit::Is(if x { !l } else { l })
-                }
-                (FLit::Is(la), FLit::Is(lb)) => FLit::Is(self.cnf.xor(la, lb)),
-            };
-            diffs.push(d);
-        }
-        self.fclause(&diffs);
+        let diffs: Vec<Lit> = (0..self.parity_bits)
+            .map(|r| {
+                let (a, b) = (self.p_lit(r, c1), self.p_lit(r, c2));
+                self.cnf.xor(a, b)
+            })
+            .collect();
+        self.cnf.add_clause(&diffs);
     }
 }
 
@@ -355,8 +226,6 @@ fn encode_base(k: usize, parity_bits: usize, options: &BeerSolverOptions) -> Enc
         p_vars,
         parity_bits,
         k,
-        pins: vec![None; parity_bits * k],
-        encoded_lb: vec![2; k],
         distinct_done: HashSet::new(),
     };
     encode_column_weights(&mut problem);
@@ -423,10 +292,10 @@ fn encode_observation_entry(
 
     // w_r = ⊕_{a∈A} P[r][a]: the CHARGED parity-bit indicator (shared by
     // every observation of the entry).
-    let w: Vec<FLit> = (0..p)
+    let w: Vec<Lit> = (0..p)
         .map(|r| {
-            let terms: Vec<FLit> = charged.iter().map(|&a| problem.f_p(r, a)).collect();
-            problem.fxor(&terms)
+            let terms: Vec<Lit> = charged.iter().map(|&a| problem.p_lit(r, a)).collect();
+            problem.cnf.xor_many(&terms)
         })
         .collect();
 
@@ -449,7 +318,7 @@ fn encode_observation_entry(
 fn encode_fact_subset_reps(
     problem: &mut EncodedProblem,
     charged: &[usize],
-    w: &[FLit],
+    w: &[Lit],
     j: usize,
     obs: Observation,
 ) {
@@ -460,17 +329,17 @@ fn encode_fact_subset_reps(
     } else {
         (0u32..(1 << t)).filter(|x| x & 1 == 0).collect()
     };
-    // v^x_r = P[r][j] ⊕ ⊕_{x_i=1} P[r][a_i], folded.
-    let v_for = |problem: &mut EncodedProblem, x: u32| -> Vec<FLit> {
+    // v^x_r = P[r][j] ⊕ ⊕_{x_i=1} P[r][a_i].
+    let v_for = |problem: &mut EncodedProblem, x: u32| -> Vec<Lit> {
         (0..p)
             .map(|r| {
-                let mut terms = vec![problem.f_p(r, j)];
+                let mut terms = vec![problem.p_lit(r, j)];
                 for (i, &a) in charged.iter().enumerate() {
                     if x >> i & 1 == 1 {
-                        terms.push(problem.f_p(r, a));
+                        terms.push(problem.p_lit(r, a));
                     }
                 }
-                problem.fxor(&terms)
+                problem.cnf.xor_many(&terms)
             })
             .collect()
     };
@@ -478,80 +347,38 @@ fn encode_fact_subset_reps(
     match obs {
         Observation::Miscorrection => {
             // ∃ representative x with ∀r (v_r → w_r).
-            let mut surviving: Vec<Vec<Vec<FLit>>> = Vec::new();
-            for &x in &reps {
-                let v = v_for(problem, x);
-                let mut clauses: Vec<Vec<FLit>> = Vec::new();
-                let mut dead = false;
-                for r in 0..p {
-                    match (v[r], w[r]) {
-                        (FLit::Const(false), _) | (_, FLit::Const(true)) => {}
-                        (FLit::Const(true), FLit::Const(false)) => {
-                            dead = true;
-                            break;
-                        }
-                        (vr, wr) => clauses.push(vec![vr.negate(), wr]),
-                    }
+            let vs: Vec<Vec<Lit>> = reps.iter().map(|&x| v_for(problem, x)).collect();
+            if let [v] = vs.as_slice() {
+                for (&vr, &wr) in v.iter().zip(w) {
+                    problem.cnf.add_clause(&[!vr, wr]);
                 }
-                if dead {
-                    continue;
-                }
-                if clauses.is_empty() {
-                    // This representative is unconditionally fine: the
-                    // whole fact is already satisfied.
-                    return;
-                }
-                surviving.push(clauses);
+                return;
             }
-            match surviving.len() {
-                0 => problem.contradiction(),
-                1 => {
-                    for clause in &surviving[0] {
-                        problem.fclause(clause);
-                    }
+            let mut guards = Vec::with_capacity(vs.len());
+            for v in &vs {
+                let g = problem.cnf.new_lit();
+                for (&vr, &wr) in v.iter().zip(w) {
+                    problem.cnf.add_clause(&[!g, !vr, wr]);
                 }
-                _ => {
-                    let mut guards = Vec::with_capacity(surviving.len());
-                    for clauses in &surviving {
-                        let g = problem.cnf.new_lit();
-                        for clause in clauses {
-                            let mut guarded = vec![FLit::Is(!g)];
-                            guarded.extend_from_slice(clause);
-                            problem.fclause(&guarded);
-                        }
-                        guards.push(g);
-                    }
-                    problem.cnf.at_least_one(&guards);
-                }
+                guards.push(g);
             }
+            problem.cnf.at_least_one(&guards);
         }
         Observation::NoMiscorrection => {
             // Every representative must fail: ∃r (v_r ∧ ¬w_r).
             for &x in &reps {
                 let v = v_for(problem, x);
-                let mut witnesses: Vec<FLit> = Vec::with_capacity(p);
-                let mut satisfied = false;
-                for r in 0..p {
-                    match (v[r], w[r]) {
-                        (FLit::Const(true), FLit::Const(false)) => {
-                            satisfied = true;
-                            break;
-                        }
-                        (FLit::Const(false), _) | (_, FLit::Const(true)) => {}
-                        (FLit::Const(true), wr) => witnesses.push(wr.negate()),
-                        (vr, FLit::Const(false)) => witnesses.push(vr),
-                        (FLit::Is(vl), FLit::Is(wl)) => {
-                            let h = problem.cnf.new_lit();
-                            problem.cnf.add_clause(&[!h, vl]);
-                            problem.cnf.add_clause(&[!h, !wl]);
-                            witnesses.push(FLit::Is(h));
-                        }
-                    }
-                }
-                if satisfied {
-                    continue;
-                }
-                problem.fclause(&witnesses);
+                let witnesses: Vec<Lit> = v
+                    .iter()
+                    .zip(w)
+                    .map(|(&vr, &wr)| {
+                        let h = problem.cnf.new_lit();
+                        problem.cnf.add_clause(&[!h, vr]);
+                        problem.cnf.add_clause(&[!h, !wr]);
+                        h
+                    })
+                    .collect();
+                problem.cnf.add_clause(&witnesses);
             }
         }
         Observation::Unknown => unreachable!(),
@@ -572,57 +399,50 @@ fn encode_fact_subset_reps(
 fn encode_fact_linear(
     problem: &mut EncodedProblem,
     charged: &[usize],
-    w: &[FLit],
+    w: &[Lit],
     j: usize,
     obs: Observation,
 ) {
-    let p = problem.parity_bits;
     match obs {
         Observation::Miscorrection => {
             let sels: Vec<Lit> = charged.iter().map(|_| problem.cnf.new_lit()).collect();
-            for (r, &wr) in w.iter().enumerate().take(p) {
-                if wr == FLit::Const(true) {
-                    continue;
+            for (r, &wr) in w.iter().enumerate() {
+                let mut terms = vec![problem.p_lit(r, j)];
+                for (&sel, &a) in sels.iter().zip(charged) {
+                    let entry = problem.p_lit(r, a);
+                    terms.push(problem.cnf.and(&[sel, entry]));
                 }
-                let mut terms = vec![problem.f_p(r, j)];
-                for (i, &a) in charged.iter().enumerate() {
-                    let sel = FLit::Is(sels[i]);
-                    let entry = problem.f_p(r, a);
-                    let prod = problem.fand(sel, entry);
-                    terms.push(prod);
-                }
-                let acc = problem.fxor(&terms);
-                problem.fclause(&[wr, acc.negate()]);
+                let acc = problem.cnf.xor_many(&terms);
+                problem.cnf.add_clause(&[wr, !acc]);
             }
         }
         Observation::NoMiscorrection => {
-            // y_r exists only on rows that can be outside supp(w).
-            let ys: Vec<FLit> = (0..p)
-                .map(|r| match w[r] {
-                    FLit::Const(true) => FLit::Const(false),
-                    FLit::Const(false) => FLit::Is(problem.cnf.new_lit()),
-                    FLit::Is(wl) => {
-                        let y = problem.cnf.new_lit();
-                        problem.cnf.add_clause(&[!y, !wl]);
-                        FLit::Is(y)
-                    }
+            // y_r may be set only on rows outside supp(w).
+            let ys: Vec<Lit> = w
+                .iter()
+                .map(|&wr| {
+                    let y = problem.cnf.new_lit();
+                    problem.cnf.add_clause(&[!y, !wr]);
+                    y
                 })
                 .collect();
-            let dot = |problem: &mut EncodedProblem, col: usize| -> FLit {
-                let mut terms: Vec<FLit> = Vec::with_capacity(p);
-                for (r, &y) in ys.iter().enumerate() {
-                    let entry = problem.f_p(r, col);
-                    let prod = problem.fand(y, entry);
-                    terms.push(prod);
-                }
-                problem.fxor(&terms)
+            let dot = |problem: &mut EncodedProblem, col: usize| -> Lit {
+                let terms: Vec<Lit> = ys
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &y)| {
+                        let entry = problem.p_lit(r, col);
+                        problem.cnf.and(&[y, entry])
+                    })
+                    .collect();
+                problem.cnf.xor_many(&terms)
             };
             for &a in charged {
                 let parity = dot(problem, a);
-                problem.fclause(&[parity.negate()]);
+                problem.cnf.add_clause(&[!parity]);
             }
             let parity = dot(problem, j);
-            problem.fclause(&[parity]);
+            problem.cnf.add_clause(&[parity]);
         }
         Observation::Unknown => unreachable!(),
     }
@@ -765,10 +585,6 @@ impl ContainmentFacts {
 /// instead of re-encoding from scratch (the paper's §6.3 runtime
 /// optimization).
 ///
-/// Each push re-runs the GF(2) preprocessing pass over everything
-/// accumulated, asserting any newly derived pins so the SAT search space
-/// shrinks as evidence accumulates.
-///
 /// Each uniqueness check solves under one fresh guard assumption and adds
 /// its blocking clauses as `¬guard ∨ …`; asserting `¬guard` at the end of
 /// the check retracts them, so they never leak into later rounds. Lazily
@@ -795,15 +611,14 @@ pub struct ProgressiveSolver {
     /// The encoding, whose builder owns the live solver.
     problem: EncodedProblem,
     options: BeerSolverOptions,
-    /// Every definite fact pushed so far (kept for solution verification
-    /// and incremental preprocessing), including the order-1 negative
-    /// facts the encoding skips.
+    /// Every definite fact pushed so far (kept for solution verification),
+    /// including the order-1 negative facts the encoding skips.
     accumulated: ProfileConstraints,
     /// The order-1 part of `accumulated`, as column relations.
     containments: ContainmentFacts,
     facts_encoded: usize,
     /// Wall-clock split of the most recent [`ProgressiveSolver::push_constraints`]:
-    /// `(encode, preprocess)`. Surfaced per round through
+    /// `(encode, record)`. Surfaced per round through
     /// [`RecoveryEvent::CheckCompleted`](crate::recovery::RecoveryEvent).
     last_push_times: (Duration, Duration),
 }
@@ -841,7 +656,9 @@ impl ProgressiveSolver {
         self.facts_encoded
     }
 
-    /// Number of `P` variables pinned by preprocessing so far.
+    /// Number of `P` variables the SAT solver holds fixed at decision
+    /// level 0 (derived from the pushed facts and every clause learnt so
+    /// far).
     pub fn pinned_vars(&self) -> usize {
         self.problem.pinned_vars()
     }
@@ -851,8 +668,8 @@ impl ProgressiveSolver {
         (self.problem.cnf.num_vars(), self.problem.cnf.num_clauses())
     }
 
-    /// Streams new constraints into the live session: encodes every entry,
-    /// then re-runs preprocessing over everything pushed so far. Patterns
+    /// Streams new constraints into the live session: records the order-1
+    /// facts into the column relations, then encodes every entry. Patterns
     /// already pushed should not be pushed again (their clauses would be
     /// encoded twice — harmless but wasteful).
     ///
@@ -890,12 +707,14 @@ impl ProgressiveSolver {
                 return Err(SolveError::ChargedBitObserved { entry, bit });
             }
         }
-        let encode_start = Instant::now();
+        let record_start = Instant::now();
         for (pattern, observations) in &constraints.entries {
             if let &[a] = pattern.bits() {
                 self.containments.record(a, observations);
             }
         }
+        let record_time = record_start.elapsed();
+        let encode_start = Instant::now();
         for (pattern, observations) in &constraints.entries {
             if let &[a] = pattern.bits() {
                 let needed: Vec<Observation> = observations
@@ -920,17 +739,14 @@ impl ProgressiveSolver {
                 .entries
                 .push((pattern.clone(), observations.clone()));
         }
-        let encode_time = encode_start.elapsed();
-        let preprocess_start = Instant::now();
-        let pre = preprocess(self.problem.k, self.problem.parity_bits, &self.accumulated);
-        self.problem.apply_preprocessing(&pre);
-        let preprocess_time = preprocess_start.elapsed();
-        self.last_push_times = (encode_time, preprocess_time);
+        self.last_push_times = (encode_start.elapsed(), record_time);
         Ok(())
     }
 
-    /// Wall-clock `(encode, preprocess)` split of the most recent
-    /// [`ProgressiveSolver::push_constraints`] call.
+    /// Wall-clock `(encode, record)` split of the most recent
+    /// [`ProgressiveSolver::push_constraints`] call: encoding the entries
+    /// into CNF, and recording the order-1 facts into the column relations
+    /// that decide which negative facts are skipped.
     pub fn last_push_times(&self) -> (Duration, Duration) {
         self.last_push_times
     }
@@ -1281,12 +1097,12 @@ mod tests {
 
     #[test]
     fn contradictory_profile_is_unsat() {
-        // Claim: every 1-CHARGED pattern miscorrects every other bit. For
-        // k=4, p=3 that forces supp(P_j) ⊆ supp(P_a) for all pairs — i.e.
-        // all supports equal, contradicting column distinctness (the
-        // preprocessing pass catches this before SAT).
+        // Each input contradicts column validity, so no code matches it.
         let code = hamming::eq1_code();
         let base = analytic_profile(&code, &PatternSet::One.patterns(4));
+        // Every 1-CHARGED pattern miscorrects every other bit. For k=4,
+        // p=3 that forces supp(P_j) ⊆ supp(P_a) for all pairs — i.e. all
+        // supports equal, contradicting column distinctness.
         let all_miscorrect = ProfileConstraints {
             k: 4,
             entries: base
@@ -1304,12 +1120,40 @@ mod tests {
                 })
                 .collect(),
         };
-        let report = solve_profile(4, 3, &all_miscorrect, &BeerSolverOptions::default())
-            .expect("well-formed constraints");
-        assert!(
-            report.solutions.is_empty(),
-            "mutual containment must be UNSAT"
-        );
+        let miscorrects = |a: usize, bits: &[usize], k: usize| {
+            let mut obs = vec![Observation::Unknown; k];
+            for &j in bits {
+                obs[j] = Observation::Miscorrection;
+            }
+            (ChargedSet::new(vec![a], k), obs)
+        };
+        let inputs = [
+            ("all-pairs containment", all_miscorrect),
+            // {0} miscorrects bit 1 and {1} bit 0: P_0 = P_1.
+            (
+                "mutual containment",
+                ProfileConstraints {
+                    k: 4,
+                    entries: vec![miscorrects(0, &[1], 4), miscorrects(1, &[0], 4)],
+                },
+            ),
+            // {0} miscorrects 5 bits: 5 distinct weight-≥2 columns inside
+            // supp(P_0) besides P_0 itself, where p = 3 has only 4 such
+            // columns in all.
+            (
+                "overfull containment",
+                ProfileConstraints {
+                    k: 6,
+                    entries: vec![miscorrects(0, &[1, 2, 3, 4, 5], 6)],
+                },
+            ),
+        ];
+        for (name, profile) in &inputs {
+            let report = solve_profile(profile.k, 3, profile, &BeerSolverOptions::default())
+                .expect("well-formed constraints");
+            assert!(report.solutions.is_empty(), "{name} must be UNSAT");
+            assert!(!report.truncated, "{name}");
+        }
     }
 
     #[test]
@@ -1624,8 +1468,9 @@ mod tests {
     #[test]
     fn progressive_agrees_with_one_shot_for_random_codes() {
         // The whole profile in one push (`solve_profile`) and one push per
-        // entry must find the same code: pins derived after each push fold
-        // into later entries only, so the two CNFs differ.
+        // entry must find the same code: an implied order-1 negative fact is
+        // skipped only once its justification has arrived, so the two CNFs
+        // differ.
         let mut rng = StdRng::seed_from_u64(515);
         for k in [5usize, 8, 11] {
             let code = hamming::random_sec(k, &mut rng);
@@ -1714,15 +1559,27 @@ mod tests {
     }
 
     #[test]
-    fn preprocessing_reports_pinned_variables() {
-        // Eq. 1's 1-CHARGED profile pins column 0 to all-ones.
+    fn pinned_vars_are_the_root_fixed_entries_of_the_solution() {
         let code = hamming::eq1_code();
         let profile = analytic_profile(&code, &PatternSet::One.patterns(4));
         let mut solver = ProgressiveSolver::new(4, 3, BeerSolverOptions::default());
         assert_eq!(solver.pinned_vars(), 0);
         solver.push_constraints(&profile).unwrap();
-        assert!(solver.pinned_vars() >= 3, "column 0 must be pinned");
         let report = solver.check();
         assert!(report.is_unique());
+        let solution = report.solutions[0].parity_submatrix();
+        let root = solver.problem.cnf.solver();
+        let mut fixed = 0;
+        for r in 0..3 {
+            for c in 0..4 {
+                if let Some(value) = root.value(solver.problem.p_vars[r * 4 + c]) {
+                    assert_eq!(value, solution.get(r, c), "P[{r}][{c}]");
+                    fixed += 1;
+                }
+            }
+        }
+        // The check leaves learnt root facts behind (8 entries here).
+        assert!(fixed > 0, "no P entry fixed at the root");
+        assert_eq!(solver.pinned_vars(), fixed);
     }
 }

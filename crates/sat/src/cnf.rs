@@ -36,12 +36,11 @@ enum GateKey {
 ///
 /// let mut cnf = CnfBuilder::new();
 /// let bits: Vec<_> = (0..4).map(|_| cnf.new_lit()).collect();
-/// cnf.at_most_k(&bits, 2);
-/// cnf.at_least_one(&bits);
+/// cnf.exactly_one(&bits);
 /// let mut s = cnf.into_solver();
 /// assert_eq!(s.solve(), SatResult::Sat);
 /// let ones = bits.iter().filter(|&&b| s.lit_value(b) == Some(true)).count();
-/// assert!((1..=2).contains(&ones));
+/// assert_eq!(ones, 1);
 /// ```
 pub struct CnfBuilder {
     solver: Solver,
@@ -263,56 +262,6 @@ impl CnfBuilder {
         self.at_most_one(lits);
     }
 
-    /// Asserts that at most `k` of `lits` hold, using a sequential counter.
-    pub fn at_most_k(&mut self, lits: &[Lit], k: usize) {
-        if lits.len() <= k {
-            return;
-        }
-        if k == 0 {
-            for &l in lits {
-                self.assert_lit(!l);
-            }
-            return;
-        }
-        // s[i][j] = "at least j+1 of the first i+1 literals are true".
-        let n = lits.len();
-        let mut s = vec![vec![Lit::from_code(0); k]; n];
-        for (i, row) in s.iter_mut().enumerate() {
-            for cell in row.iter_mut().take(k) {
-                *cell = self.new_lit();
-            }
-            let _ = i;
-        }
-        self.add_clause(&[!lits[0], s[0][0]]);
-        for &cell in &s[0][1..k] {
-            self.assert_lit(!cell);
-        }
-        for i in 1..n {
-            self.add_clause(&[!lits[i], s[i][0]]);
-            self.add_clause(&[!s[i - 1][0], s[i][0]]);
-            for j in 1..k {
-                self.add_clause(&[!lits[i], !s[i - 1][j - 1], s[i][j]]);
-                self.add_clause(&[!s[i - 1][j], s[i][j]]);
-            }
-            self.add_clause(&[!lits[i], !s[i - 1][k - 1]]);
-        }
-    }
-
-    /// Asserts that at least `k` of `lits` hold (via at-most on negations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > lits.len()` (trivially unsatisfiable; assert false
-    /// explicitly if intended).
-    pub fn at_least_k(&mut self, lits: &[Lit], k: usize) {
-        assert!(k <= lits.len(), "at_least_k with k > number of literals");
-        if k == 0 {
-            return;
-        }
-        let negated: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-        self.at_most_k(&negated, lits.len() - k);
-    }
-
     /// Asserts `a ≤lex b` where index 0 is the most significant bit — the
     /// row-ordering constraint that canonicalizes parity-check matrices
     /// (DESIGN.md §2, symmetry breaking).
@@ -503,56 +452,6 @@ mod tests {
                     .count(),
                 1
             );
-            let block: Vec<Lit> = bits
-                .iter()
-                .map(|&l| if s.lit_value(l).unwrap() { !l } else { l })
-                .collect();
-            s.add_clause(&block);
-        }
-        assert_eq!(count, 5);
-    }
-
-    #[test]
-    fn at_most_k_counts_models() {
-        // C(4,0)+C(4,1)+C(4,2) = 1+4+6 = 11 assignments with ≤ 2 ones.
-        let mut cnf = CnfBuilder::new();
-        let bits: Vec<Lit> = (0..4).map(|_| cnf.new_lit()).collect();
-        cnf.at_most_k(&bits, 2);
-        let mut s = cnf.into_solver();
-        let mut count = 0;
-        while s.solve() == SatResult::Sat {
-            count += 1;
-            assert!(count <= 11);
-            let ones = bits
-                .iter()
-                .filter(|&&b| s.lit_value(b) == Some(true))
-                .count();
-            assert!(ones <= 2, "model has {ones} ones");
-            let block: Vec<Lit> = bits
-                .iter()
-                .map(|&l| if s.lit_value(l).unwrap() { !l } else { l })
-                .collect();
-            s.add_clause(&block);
-        }
-        assert_eq!(count, 11);
-    }
-
-    #[test]
-    fn at_least_k_counts_models() {
-        // C(4,3)+C(4,4) = 4+1 = 5 assignments with ≥ 3 ones.
-        let mut cnf = CnfBuilder::new();
-        let bits: Vec<Lit> = (0..4).map(|_| cnf.new_lit()).collect();
-        cnf.at_least_k(&bits, 3);
-        let mut s = cnf.into_solver();
-        let mut count = 0;
-        while s.solve() == SatResult::Sat {
-            count += 1;
-            assert!(count <= 5);
-            let ones = bits
-                .iter()
-                .filter(|&&b| s.lit_value(b) == Some(true))
-                .count();
-            assert!(ones >= 3);
             let block: Vec<Lit> = bits
                 .iter()
                 .map(|&l| if s.lit_value(l).unwrap() { !l } else { l })

@@ -52,7 +52,7 @@ fn main() {
                 new_facts,
                 pinned_vars,
                 ..
-            } => println!("step 2: {new_facts} definite facts ({pinned_vars} variables pinned)"),
+            } => println!("step 2: {new_facts} definite facts ({pinned_vars} P entries fixed)"),
             RecoveryEvent::CheckCompleted {
                 solutions, elapsed, ..
             } => println!("step 3: {solutions} solution(s) in {elapsed:?}"),

@@ -83,7 +83,7 @@ fn main() {
         .expect("simulated chips cannot fail collection");
     let stats = &report.stats;
     println!(
-        "    {} round(s), {} of {} patterns collected, {} facts encoded, {} vars pinned",
+        "    {} round(s), {} of {} patterns collected, {} facts encoded, {} P entries fixed",
         stats.rounds,
         stats.patterns_used,
         stats.patterns_available,

@@ -74,7 +74,6 @@ pub mod prelude {
     pub use beer_core::analytic::{analytic_profile, code_matches_constraints};
     pub use beer_core::collect::{ChipKnowledge, CollectionPlan};
     pub use beer_core::direct::extract_by_injection;
-    pub use beer_core::preprocess::{preprocess, Preprocessed};
     pub use beer_core::solve::{progressive_batches, ProgressiveSolver, SolveError};
     pub use beer_core::{
         run_session_guarded, solve_profile, try_collect_traced, try_collect_with, AnalyticBackend,

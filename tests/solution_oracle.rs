@@ -11,8 +11,8 @@
 //!
 //! * in one push (`solve_profile`), and
 //! * through a `ProgressiveSolver` fed the 1-CHARGED entries first and the
-//!   rest second, checking after each push, so preprocessing pins from the
-//!   first push fold into the circuits of the second and the first check's
+//!   rest second, checking after each push, so the second push encodes into
+//!   a solver that has already searched and learnt, and the first check's
 //!   blocking clauses must not leak into the second.
 //!
 //! No code is shared with the SAT encoding, so a bug that drops a valid code
