@@ -1095,14 +1095,30 @@ mod tests {
         assert!(capped.truncated);
     }
 
+    /// Asserts that no code matches `profile` (for `p = 3`).
+    fn assert_unsat(profile: &ProfileConstraints) {
+        let report = solve_profile(profile.k, 3, profile, &BeerSolverOptions::default())
+            .expect("well-formed constraints");
+        assert!(report.solutions.is_empty(), "profile must be UNSAT");
+        assert!(!report.truncated);
+    }
+
+    /// Pattern `{a}` observed to miscorrect each bit in `bits`.
+    fn miscorrects(a: usize, bits: &[usize], k: usize) -> (ChargedSet, Vec<Observation>) {
+        let mut obs = vec![Observation::Unknown; k];
+        for &j in bits {
+            obs[j] = Observation::Miscorrection;
+        }
+        (ChargedSet::new(vec![a], k), obs)
+    }
+
     #[test]
     fn contradictory_profile_is_unsat() {
-        // Each input contradicts column validity, so no code matches it.
+        // Claim: every 1-CHARGED pattern miscorrects every other bit. For
+        // k=4, p=3 that forces supp(P_j) ⊆ supp(P_a) for all pairs — i.e.
+        // all supports equal, contradicting column distinctness.
         let code = hamming::eq1_code();
         let base = analytic_profile(&code, &PatternSet::One.patterns(4));
-        // Every 1-CHARGED pattern miscorrects every other bit. For k=4,
-        // p=3 that forces supp(P_j) ⊆ supp(P_a) for all pairs — i.e. all
-        // supports equal, contradicting column distinctness.
         let all_miscorrect = ProfileConstraints {
             k: 4,
             entries: base
@@ -1120,40 +1136,28 @@ mod tests {
                 })
                 .collect(),
         };
-        let miscorrects = |a: usize, bits: &[usize], k: usize| {
-            let mut obs = vec![Observation::Unknown; k];
-            for &j in bits {
-                obs[j] = Observation::Miscorrection;
-            }
-            (ChargedSet::new(vec![a], k), obs)
-        };
-        let inputs = [
-            ("all-pairs containment", all_miscorrect),
-            // {0} miscorrects bit 1 and {1} bit 0: P_0 = P_1.
-            (
-                "mutual containment",
-                ProfileConstraints {
-                    k: 4,
-                    entries: vec![miscorrects(0, &[1], 4), miscorrects(1, &[0], 4)],
-                },
-            ),
-            // {0} miscorrects 5 bits: 5 distinct weight-≥2 columns inside
-            // supp(P_0) besides P_0 itself, where p = 3 has only 4 such
-            // columns in all.
-            (
-                "overfull containment",
-                ProfileConstraints {
-                    k: 6,
-                    entries: vec![miscorrects(0, &[1, 2, 3, 4, 5], 6)],
-                },
-            ),
-        ];
-        for (name, profile) in &inputs {
-            let report = solve_profile(profile.k, 3, profile, &BeerSolverOptions::default())
-                .expect("well-formed constraints");
-            assert!(report.solutions.is_empty(), "{name} must be UNSAT");
-            assert!(!report.truncated, "{name}");
-        }
+        assert_unsat(&all_miscorrect);
+    }
+
+    #[test]
+    fn mutual_containment_is_unsat() {
+        // {0} miscorrects bit 1 and {1} bit 0: P_0 = P_1, impossible for
+        // distinct columns.
+        assert_unsat(&ProfileConstraints {
+            k: 4,
+            entries: vec![miscorrects(0, &[1], 4), miscorrects(1, &[0], 4)],
+        });
+    }
+
+    #[test]
+    fn overfull_containment_is_unsat() {
+        // {0} miscorrects 5 bits: 5 distinct weight-≥2 columns inside
+        // supp(P_0) besides P_0 itself, where p = 3 has only 4 such
+        // columns in all.
+        assert_unsat(&ProfileConstraints {
+            k: 6,
+            entries: vec![miscorrects(0, &[1, 2, 3, 4, 5], 6)],
+        });
     }
 
     #[test]
