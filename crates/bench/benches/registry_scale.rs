@@ -24,7 +24,6 @@
 //! `startup_segmented_ms` against `ci/registry_scale.baseline.json`.
 
 use beer_bench::{banner, fmt_duration, CsvArtifact, Scale};
-use beer_core::recovery::BudgetReason;
 use beer_core::trace::Fingerprint;
 use beer_ecc::{hamming, LinearCode};
 use beer_service::{CodeOutcome, Registry};
@@ -45,14 +44,13 @@ fn code_pool(count: usize, k: usize) -> Vec<LinearCode> {
 }
 
 /// One synthetic record: a distinct fingerprint, and an outcome that is
-/// `Unique` (re-recovering a pooled code) once per ~100 jobs, a budget
-/// exhaustion once per ~50, and a plain ambiguous answer otherwise.
+/// `Unique` (re-recovering a pooled code) once per ~100 jobs, an
+/// inconsistent answer once per ~50, and a plain ambiguous answer
+/// otherwise.
 fn outcome_for(i: usize, codes: &[LinearCode]) -> CodeOutcome {
     match i % 100 {
         0 => CodeOutcome::Unique(codes[(i / 100) % codes.len()].clone()),
-        1 | 51 => CodeOutcome::BudgetExhausted {
-            reason: BudgetReason::Deadline,
-        },
+        1 | 51 => CodeOutcome::Inconsistent,
         _ => CodeOutcome::Ambiguous {
             count: 2 + (i % 7),
             truncated: i.is_multiple_of(13),

@@ -700,25 +700,20 @@ fn run_collection_trial(
 /// the closed-form observable-miscorrection predicate — the simulation
 /// methodology of §6.1. One unit is one pattern.
 ///
-/// Each possible miscorrection is recorded `emphasis` times so the
-/// resulting counts clear any reasonable [`crate::profile::ThresholdFilter`].
+/// Each possible miscorrection is recorded 8 times so the resulting counts
+/// clear any reasonable [`crate::profile::ThresholdFilter`].
 #[derive(Clone)]
 pub struct AnalyticBackend {
     code: LinearCode,
-    emphasis: u64,
 }
 
 impl AnalyticBackend {
+    /// Observations (and trials) recorded per possible miscorrection.
+    const EMPHASIS: u64 = 8;
+
     /// A backend for the given code.
     pub fn new(code: LinearCode) -> Self {
-        AnalyticBackend { code, emphasis: 8 }
-    }
-
-    /// Overrides how many observations each possible miscorrection records.
-    pub fn with_emphasis(mut self, emphasis: u64) -> Self {
-        assert!(emphasis > 0, "emphasis must be positive");
-        self.emphasis = emphasis;
-        self
+        AnalyticBackend { code }
     }
 
     /// The underlying code.
@@ -752,10 +747,10 @@ impl ProfileSource for AnalyticBackend {
             if !pattern.is_charged(j)
                 && miscorrection::miscorrection_possible_at(&self.code, pattern.bits(), j)
             {
-                profile.record_miscorrections(unit, j, self.emphasis);
+                profile.record_miscorrections(unit, j, Self::EMPHASIS);
             }
         }
-        profile.record_trials(unit, self.emphasis);
+        profile.record_trials(unit, Self::EMPHASIS);
         Ok(())
     }
 
@@ -779,32 +774,22 @@ impl ProfileSource for AnalyticBackend {
 pub struct EinsimBackend {
     code: LinearCode,
     words_per_ber: u64,
-    bers: Vec<f64>,
     seed: u64,
 }
 
 impl EinsimBackend {
+    /// The raw-BER sweep points.
+    const BERS: [f64; 4] = [0.1, 0.25, 0.4, 0.499];
+
     /// A backend simulating `words_per_ber` words per pattern at each of
-    /// the default raw-BER sweep points (mirroring
+    /// the raw-BER sweep points 0.1, 0.25, 0.4 and 0.499 (mirroring
     /// [`CollectionPlan::quick`]'s targets).
     pub fn new(code: LinearCode, words_per_ber: u64, seed: u64) -> Self {
         EinsimBackend {
             code,
             words_per_ber,
-            bers: vec![0.1, 0.25, 0.4, 0.499],
             seed,
         }
-    }
-
-    /// Overrides the raw-BER sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bers` is empty.
-    pub fn with_bers(mut self, bers: Vec<f64>) -> Self {
-        assert!(!bers.is_empty(), "need at least one BER point");
-        self.bers = bers;
-        self
     }
 
     /// The underlying code.
@@ -835,7 +820,7 @@ impl ProfileSource for EinsimBackend {
     ) -> Result<(), EngineError> {
         let pattern = &patterns[unit];
         let data = pattern.to_dataword(CellType::True);
-        for (bi, &ber) in self.bers.iter().enumerate() {
+        for (bi, &ber) in Self::BERS.iter().enumerate() {
             let mut rng = SmallRng::seed_from_u64(
                 self.seed
                     ^ (unit as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

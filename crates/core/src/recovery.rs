@@ -6,7 +6,7 @@
 //! functions, act on the recovered code — and this module packages it as
 //! one: a [`RecoveryConfig`] builder owns every knob the pipeline has
 //! (backend-agnostic pattern schedule, collection plan, threshold filter,
-//! solver options, thread budget, wall-clock/fact/pattern budgets), and a
+//! solver options, thread budget, wall-clock deadline), and a
 //! [`RecoverySession`] drives any [`ProfileSource`] from the first batch
 //! to a typed terminal [`RecoveryOutcome`]:
 //!
@@ -14,11 +14,11 @@
 //!   collect → push → check round, exactly the interleaving of the §6.3
 //!   progressive optimization; [`RecoverySession::run_to_completion`]
 //!   loops it to the end.
-//! * **Cancellation and budgets.** A wall-clock deadline, a fact budget, a
-//!   pattern budget, and a shareable [`CancelToken`] all terminate the
-//!   session with [`RecoveryOutcome::BudgetExhausted`] carrying the
-//!   partial candidate set — deadline and cancellation are honored
-//!   *mid-batch* (the engine checks between collection units).
+//! * **Deadline and cancellation.** A wall-clock deadline and a shareable
+//!   [`CancelToken`] both terminate the session with
+//!   [`RecoveryOutcome::BudgetExhausted`] carrying the partial candidate
+//!   set — both are honored *mid-batch* (the engine checks between
+//!   collection units).
 //! * **Observability.** A [`RecoveryEvent`] observer replaces ad-hoc
 //!   progress printing: batch collected, facts pushed, distinctness
 //!   counterexamples repaired, check completed.
@@ -130,11 +130,6 @@ pub enum BudgetReason {
     Deadline,
     /// The session's [`CancelToken`] was cancelled.
     Cancelled,
-    /// The fact budget ([`RecoveryConfig::with_max_facts`]) was reached.
-    MaxFacts,
-    /// The pattern budget ([`RecoveryConfig::with_max_patterns`]) was
-    /// reached.
-    MaxPatterns,
 }
 
 /// The terminal state of a recovery session.
@@ -201,7 +196,7 @@ pub enum RecoveryEvent {
         round: usize,
         /// Definite facts this batch contributed.
         new_facts: usize,
-        /// Definite facts accepted so far (the `max_facts` budget unit).
+        /// Definite facts accepted so far.
         total_facts: usize,
         /// `P` variables the SAT solver holds fixed at decision level 0
         /// after this push.
@@ -281,15 +276,6 @@ impl CancelToken {
     }
 }
 
-/// A cloneable broadcast channel: every value published is delivered to
-/// every live subscriber, and subscribers whose receiver was dropped are
-/// pruned on the next publish.
-///
-/// This is the event fan-out under session observability: a session's
-/// single observer callback publishes into a `Fanout<RecoveryEvent>`
-/// (see [`Fanout::observer`]) and any number of consumers subscribe;
-/// `beer_service` uses the same type to stream its per-job events to
-/// tenants.
 /// A wakeup callback attached to a [`Fanout`] subscriber: invoked after
 /// each value lands in that subscriber's queue, from the publishing
 /// thread. Keep it cheap and non-blocking — its job is to *signal* (wake
@@ -303,6 +289,10 @@ struct FanoutSubscriber<T> {
     notify: Option<FanoutNotify>,
 }
 
+/// A cloneable broadcast channel: every value published is delivered to
+/// every live subscriber, and subscribers whose receiver was dropped are
+/// pruned on the next publish. `beer_service` streams its per-job events
+/// to tenants through one.
 pub struct Fanout<T: Clone + Send> {
     subscribers: Arc<Mutex<Vec<FanoutSubscriber<T>>>>,
 }
@@ -362,24 +352,6 @@ impl<T: Clone + Send> Fanout<T> {
             }
             true
         });
-    }
-
-    /// Number of currently registered subscribers (dead ones are only
-    /// pruned on publish).
-    pub fn subscriber_count(&self) -> usize {
-        lock_unpoisoned(&self.subscribers).len()
-    }
-}
-
-impl<T: Clone + Send> Fanout<T> {
-    /// An observer closure publishing every event into this fan-out —
-    /// pass it to [`RecoverySession::with_observer`].
-    pub fn observer(&self) -> impl FnMut(&T) + Send + 'static
-    where
-        T: 'static,
-    {
-        let fanout = self.clone();
-        move |event: &T| fanout.publish(event)
     }
 }
 
@@ -565,18 +537,6 @@ pub struct ScheduleCostReport {
     pub families: Vec<FamilyCostEstimate>,
 }
 
-impl ScheduleCostReport {
-    /// Total projected facts across all scheduled families.
-    pub fn total_projected_facts(&self) -> u64 {
-        self.families.iter().map(|f| f.projected_facts).sum()
-    }
-
-    /// Total simulated nanoseconds if every family's round runs.
-    pub fn total_sim_ns(&self) -> u64 {
-        self.families.iter().map(|f| f.round_sim_ns).sum()
-    }
-}
-
 /// Every knob of the BEER pipeline in one typed builder (see the module
 /// docs). `Default`/[`RecoveryConfig::new`] reproduce the paper's standard
 /// methodology: progressive {1,2}-CHARGED schedule, the quick collection
@@ -590,8 +550,6 @@ pub struct RecoveryConfig {
     solver: BeerSolverOptions,
     engine: EngineOptions,
     deadline: Option<Duration>,
-    max_facts: Option<usize>,
-    max_patterns: Option<usize>,
     record_trace: bool,
 }
 
@@ -668,18 +626,6 @@ impl RecoveryConfig {
         self
     }
 
-    /// Terminates the session once this many definite facts are encoded.
-    pub fn with_max_facts(mut self, max_facts: usize) -> Self {
-        self.max_facts = Some(max_facts);
-        self
-    }
-
-    /// Terminates the session once this many patterns are collected.
-    pub fn with_max_patterns(mut self, max_patterns: usize) -> Self {
-        self.max_patterns = Some(max_patterns);
-        self
-    }
-
     /// Records every collected unit into an exportable [`ProfileTrace`]
     /// (see [`RecoverySession::export_trace`]).
     pub fn with_trace_recording(mut self, record: bool) -> Self {
@@ -709,8 +655,6 @@ impl RecoveryConfig {
             filter: self.filter,
             engine: self.engine,
             deadline: self.deadline,
-            max_facts: self.max_facts,
-            max_patterns: self.max_patterns,
             cancel: CancelToken::new(),
             observer: None,
             started: Instant::now(),
@@ -770,8 +714,7 @@ pub struct RecoveryStats {
     pub patterns_used: usize,
     /// Patterns the full schedule would collect.
     pub patterns_available: usize,
-    /// Definite facts accepted (the `max_facts` budget unit), including
-    /// the implied order-1 negative facts the SAT encoding skips.
+    /// Definite facts accepted, including the implied order-1 negative facts the SAT encoding skips.
     pub facts_encoded: usize,
     /// `P` variables the SAT solver holds fixed at decision level 0.
     pub pinned_vars: usize,
@@ -813,8 +756,6 @@ pub struct RecoverySession<'s> {
     filter: ThresholdFilter,
     engine: EngineOptions,
     deadline: Option<Duration>,
-    max_facts: Option<usize>,
-    max_patterns: Option<usize>,
     solver: ProgressiveSolver,
     cancel: CancelToken,
     #[allow(clippy::type_complexity)]
@@ -915,18 +856,6 @@ impl<'s> RecoverySession<'s> {
             .is_some_and(|deadline| self.started.elapsed() >= deadline)
         {
             return Some(BudgetReason::Deadline);
-        }
-        if self
-            .max_patterns
-            .is_some_and(|max| self.patterns_used >= max)
-        {
-            return Some(BudgetReason::MaxPatterns);
-        }
-        if self
-            .max_facts
-            .is_some_and(|max| self.solver.facts_encoded() >= max)
-        {
-            return Some(BudgetReason::MaxFacts);
         }
         None
     }

@@ -650,8 +650,8 @@ impl ProgressiveSolver {
         self.problem.k
     }
 
-    /// Number of definite facts accepted so far (the `max_facts` budget
-    /// unit), whether or not the encoding needed them.
+    /// Number of definite facts accepted so far, whether or not the
+    /// encoding needed them.
     pub fn facts_encoded(&self) -> usize {
         self.facts_encoded
     }

@@ -17,8 +17,6 @@ use std::sync::Arc;
 
 /// The header line written by [`ProfileTrace::to_text`].
 pub const TRACE_HEADER_V2: &str = "beer-trace v2";
-/// The header line of the previous format version, still accepted.
-pub const TRACE_HEADER_V1: &str = "beer-profile-trace v1";
 
 /// A typed failure parsing the trace text format.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,7 +43,7 @@ impl fmt::Display for TraceParseError {
             TraceParseError::UnsupportedVersion { header } => write!(
                 f,
                 "unsupported trace format version {header:?} (this build reads \
-                 {TRACE_HEADER_V2:?}, {TRACE_HEADER_V1:?}, and headerless traces)"
+                 {TRACE_HEADER_V2:?})"
             ),
             TraceParseError::Malformed { line, message } => {
                 write!(f, "line {line}: {message}")
@@ -337,34 +335,33 @@ impl ProfileTrace {
 
     /// Parses a trace from its text format.
     ///
-    /// Accepts the current [`TRACE_HEADER_V2`] header, the previous
-    /// [`TRACE_HEADER_V1`] header, and the legacy headerless form (body
-    /// records starting directly at line 1). A header announcing a format
-    /// version this build does not know is reported as
+    /// The first line must be the [`TRACE_HEADER_V2`] header. A header
+    /// announcing any other format version is reported as
     /// [`TraceParseError::UnsupportedVersion`] — not as a generic parse
-    /// failure of whatever its body happens to contain.
+    /// failure of whatever its body happens to contain — and a first line
+    /// that is no header at all as [`TraceParseError::Malformed`].
     ///
     /// # Errors
     ///
     /// Returns a [`TraceParseError`] locating the first problem.
     pub fn from_text(text: &str) -> Result<ProfileTrace, TraceParseError> {
         let malformed = |line: usize, message: String| TraceParseError::Malformed { line, message };
-        let mut lines = text.lines().enumerate().peekable();
-        let Some(&(_, first)) = lines.peek() else {
+        let mut lines = text.lines().enumerate();
+        let Some((_, first)) = lines.next() else {
             return Err(malformed(1, "empty trace".to_string()));
         };
         let first = first.trim();
-        if first == TRACE_HEADER_V2 || first == TRACE_HEADER_V1 {
-            lines.next();
-        } else if first.starts_with("beer-trace") || first.starts_with("beer-profile-trace") {
-            // A recognizable header naming a version we do not read: a
-            // future format may have changed any record, so refuse to
-            // guess at the body.
-            return Err(TraceParseError::UnsupportedVersion {
-                header: first.to_string(),
-            });
+        if first != TRACE_HEADER_V2 {
+            if first.starts_with("beer-trace") || first.starts_with("beer-profile-trace") {
+                // A recognizable header naming a version we do not read:
+                // a future format may have changed any record, so refuse
+                // to guess at the body.
+                return Err(TraceParseError::UnsupportedVersion {
+                    header: first.to_string(),
+                });
+            }
+            return Err(malformed(1, format!("expected {TRACE_HEADER_V2:?} header")));
         }
-        // Anything else is the legacy headerless body, parsed as-is.
         let mut k: Option<usize> = None;
         let mut patterns: Vec<ChargedSet> = Vec::new();
         let mut units: Vec<UnitTrace> = Vec::new();
@@ -763,10 +760,11 @@ pub struct ReplayBackend {
 }
 
 impl ReplayBackend {
-    /// Wraps a trace for replay.
-    pub fn new(trace: ProfileTrace) -> Self {
+    /// Wraps a trace for replay. Pass an `Arc` to share a trace the
+    /// caller already holds without copying it.
+    pub fn new(trace: impl Into<Arc<ProfileTrace>>) -> Self {
         ReplayBackend {
-            trace: Arc::new(trace),
+            trace: trace.into(),
             mapping: Arc::new(Vec::new()),
             active_units: Arc::new(Vec::new()),
         }
@@ -960,20 +958,17 @@ mod tests {
     fn malformed_traces_are_rejected() {
         assert!(ProfileTrace::from_text("").is_err());
         assert!(ProfileTrace::from_text("not-a-trace").is_err());
-        assert!(ProfileTrace::from_text("beer-profile-trace v1\nbogus 1").is_err());
-        assert!(ProfileTrace::from_text("beer-profile-trace v1\nk 4\nm 0 0 1").is_err());
+        assert!(ProfileTrace::from_text("beer-trace v2\nbogus 1").is_err());
+        assert!(ProfileTrace::from_text("beer-trace v2\nk 4\nm 0 0 1").is_err());
         // Out-of-range record.
-        assert!(
-            ProfileTrace::from_text("beer-profile-trace v1\nk 4\npattern 0\nunit\nm 5 0 1")
-                .is_err()
-        );
+        assert!(ProfileTrace::from_text("beer-trace v2\nk 4\npattern 0\nunit\nm 5 0 1").is_err());
     }
 
     #[test]
     fn duplicate_k_line_is_rejected_with_line_number() {
         // Before the fix the second k silently rescoped later patterns.
-        let err = ProfileTrace::from_text("beer-profile-trace v1\nk 4\npattern 0\nk 8\npattern 7")
-            .unwrap_err();
+        let err =
+            ProfileTrace::from_text("beer-trace v2\nk 4\npattern 0\nk 8\npattern 7").unwrap_err();
         assert!(
             matches!(err, TraceParseError::Malformed { line: 4, .. }),
             "got {err:?}"
@@ -983,10 +978,8 @@ mod tests {
 
     #[test]
     fn pattern_after_unit_records_is_rejected_with_line_number() {
-        let err = ProfileTrace::from_text(
-            "beer-profile-trace v1\nk 4\npattern 0\nunit\nt 0 3\npattern 1",
-        )
-        .unwrap_err();
+        let err = ProfileTrace::from_text("beer-trace v2\nk 4\npattern 0\nunit\nt 0 3\npattern 1")
+            .unwrap_err();
         assert!(
             matches!(err, TraceParseError::Malformed { line: 6, .. }),
             "got {err:?}"
@@ -995,22 +988,16 @@ mod tests {
     }
 
     #[test]
-    fn all_known_header_forms_parse_identically() {
-        let body = "k 4\npattern 0\nunit\nm 0 1 8\nt 0 8\n";
-        let v2 = ProfileTrace::from_text(&format!("{TRACE_HEADER_V2}\n{body}")).expect("v2");
-        let v1 = ProfileTrace::from_text(&format!("{TRACE_HEADER_V1}\n{body}")).expect("v1");
-        let headerless = ProfileTrace::from_text(body).expect("legacy headerless");
-        assert_eq!(v2, v1);
-        assert_eq!(v2, headerless);
-        // to_text writes the current header.
-        assert!(v2.to_text().starts_with(TRACE_HEADER_V2));
-    }
-
-    #[test]
     fn unknown_future_versions_are_a_typed_error() {
-        for header in ["beer-trace v3", "beer-profile-trace v9", "beer-trace"] {
+        let versions = [
+            "beer-trace v3",
+            "beer-profile-trace v9",
+            "beer-trace",
+            "beer-profile-trace v1",
+        ];
+        for header in versions {
             let err = ProfileTrace::from_text(&format!("{header}\nk 4\npattern 0\n"))
-                .expect_err("future versions must not parse");
+                .expect_err("other versions must not parse");
             assert_eq!(
                 err,
                 TraceParseError::UnsupportedVersion {
@@ -1020,6 +1007,13 @@ mod tests {
             );
             assert!(err.to_string().contains(header), "got {err}");
         }
+        // A body without any header line is not a trace of any version.
+        let err = ProfileTrace::from_text("k 4\npattern 0\nunit\nm 0 1 8\nt 0 8\n")
+            .expect_err("headerless bodies must not parse");
+        assert!(
+            matches!(err, TraceParseError::Malformed { line: 1, .. }),
+            "got {err:?}"
+        );
     }
 
     /// Every unit folded into one: same evidence, different split.
@@ -1101,7 +1095,7 @@ mod tests {
         );
 
         let duplicated = ProfileTrace::from_text(
-            "k 4\npattern 1\npattern 0 2\npattern 1\n\
+            "beer-trace v2\nk 4\npattern 1\npattern 0 2\npattern 1\n\
              unit\nm 0 2 5\nt 0 3\nm 1 3 1\nt 1 9\nunit\nm 2 2 7\nm 2 0 1\nt 2 4\n",
         )
         .expect("well-formed");
@@ -1111,8 +1105,8 @@ mod tests {
             "duplicate-pattern trace",
         );
 
-        let empty_units =
-            ProfileTrace::from_text("k 4\npattern 1\npattern 0 3\n").expect("well-formed");
+        let empty_units = ProfileTrace::from_text("beer-trace v2\nk 4\npattern 1\npattern 0 3\n")
+            .expect("well-formed");
         golden(
             &empty_units,
             0xbf45_2cd5_a77a_c5c5_3ba0_8b0d_0bcb_7c6a,
@@ -1275,7 +1269,7 @@ mod tests {
         // The same pattern recorded in two batches has no unambiguous
         // per-batch share; the backend must refuse rather than silently
         // drop one occurrence's counts.
-        let text = "beer-profile-trace v1\nk 4\npattern 1\npattern 1\n\
+        let text = "beer-trace v2\nk 4\npattern 1\npattern 1\n\
                     unit\nt 0 3\nunit\nt 1 3\n";
         let trace = ProfileTrace::from_text(text).expect("well-formed");
         let request = vec![ChargedSet::new(vec![1], 4)];
@@ -1295,7 +1289,7 @@ mod tests {
 
         // Requesting the same pattern twice in one collection is refused
         // for the same reason.
-        let trace = ProfileTrace::from_text("beer-profile-trace v1\nk 4\npattern 1\nunit\nt 0 3\n")
+        let trace = ProfileTrace::from_text("beer-trace v2\nk 4\npattern 1\nunit\nt 0 3\n")
             .expect("well-formed");
         let twice = vec![ChargedSet::new(vec![1], 4), ChargedSet::new(vec![1], 4)];
         let mut replay = ReplayBackend::new(trace);
@@ -1347,7 +1341,7 @@ mod tests {
     fn replay_skips_units_belonging_to_other_batches() {
         // A multi-batch trace: batch 1's replay must only execute batch
         // 1's units (no O(batches × units) re-scans).
-        let text = "beer-profile-trace v1\nk 4\npattern 0\npattern 1\n\
+        let text = "beer-trace v2\nk 4\npattern 0\npattern 1\n\
                     unit\nt 0 5\nunit\nt 1 7\n";
         let trace = ProfileTrace::from_text(text).expect("well-formed");
         let batch1 = vec![ChargedSet::new(vec![0], 4)];

@@ -15,7 +15,6 @@
 //! protocol" for the full frame grammar and the error mapping table.
 
 use crate::ring::{Ring, RingMember};
-use beer_core::recovery::BudgetReason;
 use beer_core::trace::Fingerprint;
 use beer_ecc::LinearCode;
 use beer_gf2::{BitMatrix, BitVec};
@@ -28,7 +27,7 @@ use std::io::{self, Read, Write};
 /// [`ErrorKind::UnsupportedVersion`], so a peer built for a different
 /// frame layout is turned away at the handshake instead of misread
 /// later.
-pub const WIRE_VERSION: u16 = 6;
+pub const WIRE_VERSION: u16 = 7;
 /// Magic bytes opening every [`Message::Hello`] payload.
 pub const WIRE_MAGIC: [u8; 4] = *b"BEER";
 /// Default per-frame size cap. Large traces cross the wire as
@@ -316,29 +315,6 @@ fn get_job_state(r: &mut Reader) -> Result<JobState, WireError> {
     })
 }
 
-fn put_budget_reason(w: &mut Writer<'_>, reason: BudgetReason) {
-    w.u8(match reason {
-        BudgetReason::Deadline => 0,
-        BudgetReason::Cancelled => 1,
-        BudgetReason::MaxFacts => 2,
-        BudgetReason::MaxPatterns => 3,
-    });
-}
-
-fn get_budget_reason(r: &mut Reader) -> Result<BudgetReason, WireError> {
-    Ok(match r.u8()? {
-        0 => BudgetReason::Deadline,
-        1 => BudgetReason::Cancelled,
-        2 => BudgetReason::MaxFacts,
-        3 => BudgetReason::MaxPatterns,
-        _ => {
-            return Err(WireError::BadValue {
-                what: "budget reason",
-            })
-        }
-    })
-}
-
 /// A linear code travels as its parity submatrix: `u16 parity rows ‖ u32
 /// k ‖ rows`, each row `⌈k/8⌉` bit-packed bytes (bit `j` at weight
 /// `1 << (j % 8)` of byte `j / 8`, padding bits zero).
@@ -409,11 +385,6 @@ pub enum WireOutcome {
     },
     /// No function is consistent with the evidence.
     Inconsistent,
-    /// A service-side budget ended the schedule early.
-    BudgetExhausted {
-        /// Which budget fired.
-        reason: BudgetReason,
-    },
 }
 
 impl WireOutcome {
@@ -427,9 +398,6 @@ impl WireOutcome {
                 truncated: *truncated,
             },
             CodeOutcome::Inconsistent => WireOutcome::Inconsistent,
-            CodeOutcome::BudgetExhausted { reason } => {
-                WireOutcome::BudgetExhausted { reason: *reason }
-            }
         }
     }
 
@@ -454,10 +422,6 @@ fn put_outcome(w: &mut Writer<'_>, outcome: &WireOutcome) {
             w.boolean(*truncated);
         }
         WireOutcome::Inconsistent => w.u8(2),
-        WireOutcome::BudgetExhausted { reason } => {
-            w.u8(3);
-            put_budget_reason(w, *reason);
-        }
     }
 }
 
@@ -469,9 +433,7 @@ fn get_outcome(r: &mut Reader) -> Result<WireOutcome, WireError> {
             truncated: r.boolean("ambiguous truncated")?,
         },
         2 => WireOutcome::Inconsistent,
-        3 => WireOutcome::BudgetExhausted {
-            reason: get_budget_reason(r)?,
-        },
+        // Tag 3 (v6's budget-exhausted outcome) is retired, not reused.
         _ => return Err(WireError::BadValue { what: "outcome" }),
     })
 }

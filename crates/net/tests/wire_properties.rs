@@ -11,7 +11,6 @@
 //!    refusals, mirroring the style of
 //!    [`TraceParseError::UnsupportedVersion`](beer_core::trace::TraceParseError).
 
-use beer_core::recovery::BudgetReason;
 use beer_core::trace::Fingerprint;
 use beer_ecc::hamming;
 use beer_net::wire::{
@@ -86,21 +85,13 @@ impl Gen {
     }
 
     fn outcome(&mut self) -> WireOutcome {
-        match self.below(4) {
+        match self.below(3) {
             0 => WireOutcome::Unique(self.code()),
             1 => WireOutcome::Ambiguous {
                 count: self.next(),
                 truncated: self.boolean(),
             },
-            2 => WireOutcome::Inconsistent,
-            _ => WireOutcome::BudgetExhausted {
-                reason: match self.below(4) {
-                    0 => BudgetReason::Deadline,
-                    1 => BudgetReason::Cancelled,
-                    2 => BudgetReason::MaxFacts,
-                    _ => BudgetReason::MaxPatterns,
-                },
-            },
+            _ => WireOutcome::Inconsistent,
         }
     }
 
@@ -417,6 +408,26 @@ fn unknown_and_retired_tags_are_typed_errors() {
             "tag {tag}"
         );
     }
+    // Outcome tag 3 (a v6 budget-exhausted outcome, followed by its
+    // reason byte) is retired inside the Done frame: a bad value.
+    let mut body = Message::Done {
+        job: 1,
+        result: Ok(WireOutput {
+            outcome: WireOutcome::Inconsistent,
+            from_cache: false,
+            coalesced_into: None,
+        }),
+    }
+    .encode_body();
+    // `TAG_DONE ‖ job u64 ‖ Ok flag ‖ outcome tag ‖ …`
+    let outcome_tag = 1 + 8 + 1;
+    assert_eq!(body[outcome_tag], 2, "Inconsistent is outcome tag 2");
+    body[outcome_tag] = 3;
+    body.insert(outcome_tag + 1, 0);
+    assert_eq!(
+        Message::decode_body(&body),
+        Err(WireError::BadValue { what: "outcome" })
+    );
 }
 
 #[test]
@@ -476,13 +487,14 @@ fn version_negotiation_accepts_exactly_the_ranges_containing_the_version() {
         assert_eq!(negotiate(min, max), Some(v), "range {min}..={max}");
     }
     // Every range that misses it: older-only peers (a v4 build offers
-    // 1..=4, a v5 build 5..=5), newer-only peers, empty ranges, and
-    // nonsense.
+    // 1..=4, a v5 build 5..=5, a v6 build 6..=6), newer-only peers,
+    // empty ranges, and nonsense.
     for (min, max) in [
         (1, 4),
         (5, 5),
         (1, 5),
-        (7, 9),
+        (6, 6),
+        (8, 9),
         (1, 1),
         (0, 0),
         (v + 1, v + 5),

@@ -8,7 +8,6 @@ use std::collections::HashMap;
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum GateKey {
     And(Vec<usize>),
-    Or(Vec<usize>),
     Xor(Vec<usize>),
 }
 
@@ -36,11 +35,12 @@ enum GateKey {
 ///
 /// let mut cnf = CnfBuilder::new();
 /// let bits: Vec<_> = (0..4).map(|_| cnf.new_lit()).collect();
-/// cnf.exactly_one(&bits);
+/// let parity = cnf.xor_many(&bits);
+/// cnf.assert_lit(parity);
 /// let mut s = cnf.into_solver();
 /// assert_eq!(s.solve(), SatResult::Sat);
 /// let ones = bits.iter().filter(|&&b| s.lit_value(b) == Some(true)).count();
-/// assert_eq!(ones, 1);
+/// assert_eq!(ones % 2, 1);
 /// ```
 pub struct CnfBuilder {
     solver: Solver,
@@ -101,14 +101,6 @@ impl CnfBuilder {
         self.add_clause(&[l]);
     }
 
-    /// Adds the implication `premise → (⋁ conclusion)`.
-    pub fn add_implication(&mut self, premise: Lit, conclusion: &[Lit]) {
-        let mut c = Vec::with_capacity(conclusion.len() + 1);
-        c.push(!premise);
-        c.extend_from_slice(conclusion);
-        self.add_clause(&c);
-    }
-
     /// A literal constrained to be true (for building constant inputs).
     pub fn lit_true(&mut self) -> Lit {
         if let Some(t) = self.const_true {
@@ -118,11 +110,6 @@ impl CnfBuilder {
         self.assert_lit(t);
         self.const_true = Some(t);
         t
-    }
-
-    /// A literal constrained to be false.
-    pub fn lit_false(&mut self) -> Lit {
-        !self.lit_true()
     }
 
     fn sorted_codes(lits: &[Lit]) -> Vec<usize> {
@@ -161,32 +148,6 @@ impl CnfBuilder {
         y
     }
 
-    /// Returns a literal equivalent to the OR of `lits`. Memoized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lits` is empty.
-    pub fn or(&mut self, lits: &[Lit]) -> Lit {
-        assert!(!lits.is_empty(), "OR of zero literals");
-        if lits.len() == 1 {
-            return lits[0];
-        }
-        let key = GateKey::Or(Self::sorted_codes(lits));
-        if let Some(&y) = self.gate_cache.get(&key) {
-            return y;
-        }
-        let y = self.new_lit();
-        let mut long: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
-        for &l in lits {
-            self.add_clause(&[y, !l]);
-            long.push(l);
-        }
-        long.push(!y);
-        self.add_clause(&long);
-        self.gate_cache.insert(key, y);
-        y
-    }
-
     /// Returns a literal equivalent to `a XOR b`. Memoized.
     pub fn xor(&mut self, a: Lit, b: Lit) -> Lit {
         let key = GateKey::Xor(Self::sorted_codes(&[a, b]));
@@ -208,7 +169,7 @@ impl CnfBuilder {
     /// The empty XOR is the constant false.
     pub fn xor_many(&mut self, lits: &[Lit]) -> Lit {
         match lits.len() {
-            0 => self.lit_false(),
+            0 => !self.lit_true(),
             1 => lits[0],
             _ => {
                 let mut acc = lits[0];
@@ -225,13 +186,6 @@ impl CnfBuilder {
         !self.xor(a, b)
     }
 
-    /// Returns a literal equivalent to `if sel { then_branch } else { else_branch }`.
-    pub fn mux(&mut self, sel: Lit, then_branch: Lit, else_branch: Lit) -> Lit {
-        let a = self.and(&[sel, then_branch]);
-        let b = self.and(&[!sel, else_branch]);
-        self.or(&[a, b])
-    }
-
     /// Asserts that at least one of `lits` holds.
     ///
     /// # Panics
@@ -241,25 +195,6 @@ impl CnfBuilder {
     pub fn at_least_one(&mut self, lits: &[Lit]) {
         assert!(!lits.is_empty(), "at_least_one of zero literals");
         self.add_clause(lits);
-    }
-
-    /// Asserts that at most one of `lits` holds (pairwise encoding).
-    pub fn at_most_one(&mut self, lits: &[Lit]) {
-        for i in 0..lits.len() {
-            for j in (i + 1)..lits.len() {
-                self.add_clause(&[!lits[i], !lits[j]]);
-            }
-        }
-    }
-
-    /// Asserts that exactly one of `lits` holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lits` is empty.
-    pub fn exactly_one(&mut self, lits: &[Lit]) {
-        self.at_least_one(lits);
-        self.at_most_one(lits);
     }
 
     /// Asserts `a ≤lex b` where index 0 is the most significant bit — the
@@ -368,11 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn or_gate_semantics() {
-        check_gate(3, |c, ins| c.or(ins), |v| v.iter().any(|&b| b));
-    }
-
-    #[test]
     fn xor_gate_semantics() {
         check_gate(2, |c, ins| c.xor(ins[0], ins[1]), |v| v[0] ^ v[1]);
     }
@@ -389,15 +319,6 @@ mod tests {
     #[test]
     fn iff_gate_semantics() {
         check_gate(2, |c, ins| c.iff(ins[0], ins[1]), |v| v[0] == v[1]);
-    }
-
-    #[test]
-    fn mux_gate_semantics() {
-        check_gate(
-            3,
-            |c, ins| c.mux(ins[0], ins[1], ins[2]),
-            |v| if v[0] { v[1] } else { v[2] },
-        );
     }
 
     #[test]
@@ -437,31 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn exactly_one_enumerates_n_models() {
-        let mut cnf = CnfBuilder::new();
-        let bits: Vec<Lit> = (0..5).map(|_| cnf.new_lit()).collect();
-        cnf.exactly_one(&bits);
-        let mut s = cnf.into_solver();
-        let mut count = 0;
-        while s.solve() == SatResult::Sat {
-            count += 1;
-            assert!(count <= 5);
-            assert_eq!(
-                bits.iter()
-                    .filter(|&&b| s.lit_value(b) == Some(true))
-                    .count(),
-                1
-            );
-            let block: Vec<Lit> = bits
-                .iter()
-                .map(|&l| if s.lit_value(l).unwrap() { !l } else { l })
-                .collect();
-            s.add_clause(&block);
-        }
-        assert_eq!(count, 5);
-    }
-
-    #[test]
     fn lex_le_orders_rows() {
         // Two 3-bit rows: number of pairs (a, b) with a ≤lex b is
         // C(8,2) + 8 = 36 (ordered pairs with a ≤ b).
@@ -493,7 +389,7 @@ mod tests {
     fn constants_are_fixed() {
         let mut cnf = CnfBuilder::new();
         let t = cnf.lit_true();
-        let f = cnf.lit_false();
+        let f = !cnf.lit_true();
         let mut s = cnf.into_solver();
         assert_eq!(s.solve(), SatResult::Sat);
         assert_eq!(s.lit_value(t), Some(true));

@@ -2,7 +2,7 @@
 //! results, and the per-job event stream.
 
 use beer_core::engine::ProfileSource;
-use beer_core::recovery::{BudgetReason, RecoveryError, RecoveryEvent};
+use beer_core::recovery::{RecoveryError, RecoveryEvent};
 use beer_core::trace::{ProfileTrace, VerifiedTrace};
 use beer_ecc::LinearCode;
 use beer_obs::TraceId;
@@ -287,15 +287,6 @@ pub enum CodeOutcome {
     },
     /// No function is consistent with the evidence.
     Inconsistent,
-    /// A configured fact/pattern budget ended the schedule early. This is
-    /// an artifact of the service's budgets, not of the evidence, so it is
-    /// returned to the submitter but never cached or persisted —
-    /// resubmitting the profile (e.g. under a reconfigured service) runs
-    /// again.
-    BudgetExhausted {
-        /// Which budget fired.
-        reason: BudgetReason,
-    },
 }
 
 impl CodeOutcome {

@@ -5,7 +5,6 @@
 //! parse is skipped and counted by the replayer, never propagated — a
 //! crash mid-append must cost at most the line it tore.
 
-use beer_core::recovery::BudgetReason;
 use beer_core::trace::Fingerprint;
 use beer_ecc::{equivalence, LinearCode};
 use beer_gf2::{BitMatrix, BitVec};
@@ -57,11 +56,6 @@ pub enum LineOutcome {
     },
     /// `inconsistent`.
     Inconsistent,
-    /// `exhausted <reason>`.
-    Exhausted {
-        /// Which budget fired.
-        reason: BudgetReason,
-    },
 }
 
 /// Parses one body line. `None` marks a torn or corrupt line (the caller
@@ -97,9 +91,6 @@ pub fn parse_line(line: &str) -> Option<LogLine> {
                     truncated: fields.next()? == "1",
                 },
                 "inconsistent" => LineOutcome::Inconsistent,
-                "exhausted" => LineOutcome::Exhausted {
-                    reason: reason_from_str(fields.next()?)?,
-                },
                 _ => return None,
             };
             Some(LogLine::Job {
@@ -137,12 +128,6 @@ pub fn job_line(fingerprint: Fingerprint, tenant: &str, outcome: &LineOutcome) -
             )
         }
         LineOutcome::Inconsistent => format!("job {fingerprint} {tenant} inconsistent\n"),
-        LineOutcome::Exhausted { reason } => {
-            format!(
-                "job {fingerprint} {tenant} exhausted {}\n",
-                reason_to_str(*reason)
-            )
-        }
     }
 }
 
@@ -184,47 +169,7 @@ pub fn row_from_hex(s: &str, k: usize) -> Option<BitVec> {
     Some(row)
 }
 
-pub fn reason_to_str(reason: BudgetReason) -> &'static str {
-    match reason {
-        BudgetReason::Deadline => "deadline",
-        BudgetReason::Cancelled => "cancelled",
-        BudgetReason::MaxFacts => "maxfacts",
-        BudgetReason::MaxPatterns => "maxpatterns",
-    }
-}
-
-pub fn reason_from_str(s: &str) -> Option<BudgetReason> {
-    Some(match s {
-        "deadline" => BudgetReason::Deadline,
-        "cancelled" => BudgetReason::Cancelled,
-        "maxfacts" => BudgetReason::MaxFacts,
-        "maxpatterns" => BudgetReason::MaxPatterns,
-        _ => return None,
-    })
-}
-
 /// Outcome discriminants shared with the binary snapshot record layout.
 pub const OUTCOME_UNIQUE: u8 = 0;
 pub const OUTCOME_AMBIGUOUS: u8 = 1;
 pub const OUTCOME_INCONSISTENT: u8 = 2;
-pub const OUTCOME_EXHAUSTED: u8 = 3;
-
-/// Numeric form of a [`BudgetReason`] for the binary snapshot layout.
-pub fn reason_to_u8(reason: BudgetReason) -> u8 {
-    match reason {
-        BudgetReason::Deadline => 0,
-        BudgetReason::Cancelled => 1,
-        BudgetReason::MaxFacts => 2,
-        BudgetReason::MaxPatterns => 3,
-    }
-}
-
-pub fn reason_from_u8(v: u8) -> Option<BudgetReason> {
-    Some(match v {
-        0 => BudgetReason::Deadline,
-        1 => BudgetReason::Cancelled,
-        2 => BudgetReason::MaxFacts,
-        3 => BudgetReason::MaxPatterns,
-        _ => return None,
-    })
-}

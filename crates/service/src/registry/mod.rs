@@ -413,7 +413,6 @@ impl Registry {
                 truncated: *truncated,
             },
             CodeOutcome::Inconsistent => LineOutcome::Inconsistent,
-            CodeOutcome::BudgetExhausted { reason } => LineOutcome::Exhausted { reason: *reason },
         };
         log.push_str(&format::job_line(fingerprint, tenant, &stored));
         self.count_if_novel(fingerprint)?;
@@ -777,7 +776,6 @@ impl Registry {
                 truncated: *truncated,
             },
             LineOutcome::Inconsistent => CodeOutcome::Inconsistent,
-            LineOutcome::Exhausted { reason } => CodeOutcome::BudgetExhausted { reason: *reason },
         };
         Some(JobRecord {
             fingerprint,

@@ -203,10 +203,6 @@ fn put_record(buf: &mut Vec<u8>, rec: &SnapRecord) {
             buf.push(u8::from(*truncated));
         }
         LineOutcome::Inconsistent => buf.push(format::OUTCOME_INCONSISTENT),
-        LineOutcome::Exhausted { reason } => {
-            buf.push(format::OUTCOME_EXHAUSTED);
-            buf.push(format::reason_to_u8(*reason));
-        }
     }
 }
 
@@ -225,9 +221,6 @@ fn get_record(s: &mut Slice<'_>) -> io::Result<SnapRecord> {
             truncated: s.u8()? != 0,
         },
         format::OUTCOME_INCONSISTENT => LineOutcome::Inconsistent,
-        format::OUTCOME_EXHAUSTED => LineOutcome::Exhausted {
-            reason: format::reason_from_u8(s.u8()?).ok_or_else(|| corrupt("budget reason"))?,
-        },
         _ => return Err(corrupt("outcome tag")),
     };
     Ok(SnapRecord {
@@ -648,13 +641,6 @@ fn read_record_stream(r: &mut impl Read) -> io::Result<SnapRecord> {
             }
         }
         format::OUTCOME_INCONSISTENT => LineOutcome::Inconsistent,
-        format::OUTCOME_EXHAUSTED => {
-            let mut b = [0u8; 1];
-            r.read_exact(&mut b)?;
-            LineOutcome::Exhausted {
-                reason: format::reason_from_u8(b[0]).ok_or_else(|| corrupt("budget reason"))?,
-            }
-        }
         _ => return Err(corrupt("outcome tag")),
     };
     Ok(SnapRecord {

@@ -100,16 +100,18 @@ fn corrupt_tail_is_skipped_not_fatal() {
             .expect("record");
     }
     // Simulate a crash mid-append: a torn job line and pure garbage at
-    // the active segment's tail.
+    // the active segment's tail, after a job line whose outcome kind
+    // (the retired `exhausted`) no longer exists.
     let log = active_log(&path);
     let mut text = std::fs::read_to_string(&log).expect("read");
+    text.push_str(&format!("job {} t exhausted deadline\n", fp(9)));
     text.push_str("job deadbeef\n");
     text.push_str("???\n");
     std::fs::write(&log, &text).expect("write");
 
     let reg = Registry::open(&path).expect("reopen with torn tail");
     assert_eq!(reg.record_count(), 1, "intact records survive");
-    assert_eq!(reg.skipped_lines(), 2, "torn lines are counted");
+    assert_eq!(reg.skipped_lines(), 3, "torn lines are counted");
     scrub(&path);
 }
 

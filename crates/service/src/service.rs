@@ -1437,7 +1437,7 @@ fn worker_loop(inner: &Inner) {
         let run_start = Instant::now();
         let run = match input {
             RunInput::Trace(trace) => {
-                let mut backend = ReplayBackend::new((*trace).clone());
+                let mut backend = ReplayBackend::new(trace);
                 run_session_guarded(&config, &format!("{id} (replay)"), &mut backend, hooks)
             }
             RunInput::Source { label, mut source } => {
@@ -1463,50 +1463,42 @@ fn worker_loop(inner: &Inner) {
                 RecoveryOutcome::BudgetExhausted { reason, .. } => match reason {
                     BudgetReason::Cancelled => (JobState::Cancelled, Err(JobError::Cancelled)),
                     BudgetReason::Deadline => (JobState::Failed, Err(JobError::DeadlineExpired)),
-                    reason => (JobState::Done, Ok(CodeOutcome::BudgetExhausted { reason })),
                 },
             },
             Err(e) => (JobState::Failed, Err(JobError::Recovery(e))),
         };
         let job_result: JobResult = job_result.map(|outcome| {
-            // Durable record + cache for trace outcomes determined by the
-            // evidence. BudgetExhausted is an artifact of this service's
-            // budgets, not of the profile — caching it would pin the
-            // artifact forever (even across a reconfigured restart), so it
-            // is returned but never recorded.
-            let evidence_determined = !matches!(outcome, CodeOutcome::BudgetExhausted { .. });
+            // Durable record + cache for every finished trace outcome.
             if let Some(fp) = fingerprint {
-                if evidence_determined {
-                    if let Err(e) = state.registry.record(fp, &tenant, &outcome) {
-                        // Disk trouble degrades durability, not service.
-                        eprintln!("beer_service: registry append failed: {e}");
-                    }
-                    // The worker path drives the storage lifecycle:
-                    // record() seals the active log at the size
-                    // threshold, and once the tail reaches
-                    // `compact_after` this drains it into a snapshot —
-                    // minor generations under `compact_budget`, one
-                    // major merge at it. Failures are counted
-                    // (`registry_compaction_failures`), never reset.
-                    let compactions_before = state.registry.compactions();
-                    if let Err(e) = state
-                        .registry
-                        .maybe_roll(inner.compact_after, inner.compact_budget)
-                    {
-                        eprintln!("beer_service: registry compaction failed: {e}");
-                    }
-                    obs.publish_registry(&state.registry);
-                    let compacted = state.registry.compactions() - compactions_before;
-                    if compacted > 0 {
-                        obs.flight(
-                            "compaction",
-                            None,
-                            format!(
-                                "registry rolled ({} segments live)",
-                                state.registry.segment_count()
-                            ),
-                        );
-                    }
+                if let Err(e) = state.registry.record(fp, &tenant, &outcome) {
+                    // Disk trouble degrades durability, not service.
+                    eprintln!("beer_service: registry append failed: {e}");
+                }
+                // The worker path drives the storage lifecycle:
+                // record() seals the active log at the size
+                // threshold, and once the tail reaches
+                // `compact_after` this drains it into a snapshot —
+                // minor generations under `compact_budget`, one
+                // major merge at it. Failures are counted
+                // (`registry_compaction_failures`), never reset.
+                let compactions_before = state.registry.compactions();
+                if let Err(e) = state
+                    .registry
+                    .maybe_roll(inner.compact_after, inner.compact_budget)
+                {
+                    eprintln!("beer_service: registry compaction failed: {e}");
+                }
+                obs.publish_registry(&state.registry);
+                let compacted = state.registry.compactions() - compactions_before;
+                if compacted > 0 {
+                    obs.flight(
+                        "compaction",
+                        None,
+                        format!(
+                            "registry rolled ({} segments live)",
+                            state.registry.segment_count()
+                        ),
+                    );
                 }
             }
             JobOutput {

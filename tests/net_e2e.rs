@@ -365,10 +365,10 @@ fn protocol_violations_are_typed_errors() {
     let addr = server.local_addr();
     let max = wire::DEFAULT_MAX_FRAME_BYTES;
 
-    // A client from the past (a v4 or v5 build) or the future: no
+    // A client from the past (a v4, v5 or v6 build) or the future: no
     // common version. A v5 peer is turned away here, at Hello, not by
     // an unknown stats tag mid-session.
-    for (min_version, max_version) in [(1, 4), (5, 5), (7, 9)] {
+    for (min_version, max_version) in [(1, 4), (5, 5), (6, 6), (8, 9)] {
         let mut stream = TcpStream::connect(addr).expect("connect");
         wire::write_message(
             &mut stream,
