@@ -12,7 +12,6 @@
 use crate::layout_probe;
 use crate::pattern::ChargedSet;
 use beer_dram::{CellType, DramInterface, WordLayout};
-use beer_gf2::BitVec;
 
 /// What the experimenter knows about a chip before profiling: the dataword
 /// layout and the per-row cell types — either assumed from prior knowledge
@@ -144,43 +143,29 @@ pub(crate) fn validate_patterns(patterns: &[ChargedSet]) -> usize {
     k
 }
 
-/// Serializes a dataword into the chip image at its mapped addresses.
+/// Each pattern's true-cell dataword as `word_bytes` bytes, the patterns
+/// back to back: dataword bit `j` is bit `j % 8` of byte `j / 8`, so a set
+/// bit is exactly a CHARGED cell.
+pub(crate) fn true_cell_images(patterns: &[ChargedSet], word_bytes: usize) -> Vec<u8> {
+    let mut images = vec![0u8; patterns.len() * word_bytes];
+    for (image, pattern) in images.chunks_exact_mut(word_bytes).zip(patterns) {
+        for &bit in pattern.bits() {
+            image[bit / 8] |= 1 << (bit % 8);
+        }
+    }
+    images
+}
+
+/// Writes a word's bytes into the chip image at their mapped addresses.
 pub(crate) fn write_word_into_image(
     image: &mut [u8],
     layout: &WordLayout,
     word: usize,
-    data: &BitVec,
+    bytes: &[u8],
 ) {
-    let wb = layout.word_bytes();
-    for byte in 0..wb {
-        let mut v = 0u8;
-        for bit in 0..8 {
-            if data.get(byte * 8 + bit) {
-                v |= 1 << bit;
-            }
-        }
-        image[layout.addr_of(word, byte)] = v;
+    for (addr, &byte) in layout.word_addrs(word).zip(bytes) {
+        image[addr] = byte;
     }
-}
-
-/// Extracts a dataword from a chip image.
-pub(crate) fn read_word_from_image(
-    image: &[u8],
-    layout: &WordLayout,
-    word: usize,
-    k: usize,
-) -> BitVec {
-    let wb = layout.word_bytes();
-    let mut data = BitVec::zeros(k);
-    for byte in 0..wb {
-        let v = image[layout.addr_of(word, byte)];
-        for bit in 0..8 {
-            if v >> bit & 1 == 1 {
-                data.set(byte * 8 + bit, true);
-            }
-        }
-    }
-    data
 }
 
 #[cfg(test)]
@@ -191,6 +176,7 @@ mod tests {
     use crate::pattern::PatternSet;
     use crate::profile::{MiscorrectionProfile, ProfileConstraints, ThresholdFilter};
     use beer_dram::{ChipConfig, Geometry, SimChip};
+    use beer_gf2::BitVec;
 
     /// Collects `patterns` from a fresh quick chip, returning the profile
     /// and the chip's ground-truth analytic profile.
@@ -216,13 +202,33 @@ mod tests {
 
     #[test]
     fn image_word_roundtrip() {
-        let layout = WordLayout::InterleavedPairs { word_bytes: 4 };
-        let mut image = vec![0u8; 64];
-        let data = BitVec::from_indices(32, &[0, 9, 31]);
-        write_word_into_image(&mut image, &layout, 3, &data);
-        assert_eq!(read_word_from_image(&image, &layout, 3, 32), data);
-        // Other words untouched.
-        assert!(read_word_from_image(&image, &layout, 2, 32).is_zero());
+        let patterns = [
+            ChargedSet::new(vec![0, 9, 31], 32),
+            ChargedSet::new(vec![8], 32),
+        ];
+        let images = true_cell_images(&patterns, 4);
+        for (image, pattern) in images.chunks_exact(4).zip(&patterns) {
+            let bits = BitVec::from_limbs(
+                32,
+                &[u64::from(u32::from_le_bytes(
+                    image.try_into().expect("4 bytes"),
+                ))],
+            );
+            assert_eq!(bits, pattern.to_dataword(CellType::True));
+        }
+        for layout in [
+            WordLayout::InterleavedPairs { word_bytes: 4 },
+            WordLayout::Contiguous { word_bytes: 4 },
+        ] {
+            let mut image = vec![0u8; 64];
+            write_word_into_image(&mut image, &layout, 3, &images[..4]);
+            let read: Vec<u8> = layout.word_addrs(3).map(|a| image[a]).collect();
+            assert_eq!(read, images[..4], "{layout:?}");
+            // Other words untouched.
+            for word in [2, 4] {
+                assert!(layout.word_addrs(word).all(|a| image[a] == 0), "{layout:?}");
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   driver over all of this.
 
 use crate::collect::{
-    read_word_from_image, validate_patterns, write_word_into_image, ChipKnowledge, CollectionPlan,
+    true_cell_images, validate_patterns, write_word_into_image, ChipKnowledge, CollectionPlan,
 };
 use crate::pattern::ChargedSet;
 use crate::profile::MiscorrectionProfile;
@@ -36,7 +36,6 @@ use crate::trace::UnitTrace;
 use beer_dram::{CellType, DramInterface};
 use beer_ecc::{miscorrection, LinearCode};
 use beer_einsim::{simulate, ErrorModel, SimConfig};
-use beer_gf2::BitVec;
 use beer_timing::{execute_trial, ArrayGeometry, MemController, TimingParams};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -639,53 +638,56 @@ fn run_collection_trial(
     trial_base: u64,
     profile: &mut MiscorrectionProfile,
 ) {
-    let k = patterns[0].k();
-    let rotation = unit;
+    let layout = &knowledge.word_layout;
+    let word_bytes = layout.word_bytes();
     let num_words = knowledge.num_words(chip);
-    let total_bytes = chip.geometry().total_bytes();
+    let cell_types: Vec<CellType> = (0..num_words)
+        .map(|word| knowledge.cell_type_of_word(chip, word))
+        .collect();
+    // The pattern of the `idx`-th true word: rotated by the unit.
+    let assigned = |idx: usize| (idx + unit) % patterns.len();
 
     // Profile only true-cell words (see the `ChipBackend` docs).
     let true_words: Vec<usize> = (0..num_words)
-        .filter(|&w| knowledge.cell_type_of_word(chip, w) == CellType::True)
+        .filter(|&word| cell_types[word] == CellType::True)
         .collect();
     assert!(
         !true_words.is_empty(),
         "chip has no true-cell words; BEER's test patterns need true-cell regions"
     );
-    let anti_background = BitVec::ones(k); // data cells DISCHARGED in anti words
+    let images = true_cell_images(patterns, word_bytes);
+    let image_of = |pi: usize| &images[pi * word_bytes..(pi + 1) * word_bytes];
+    // Data cells DISCHARGED in anti words.
+    let anti_background = vec![0xFF; word_bytes];
 
     // Program every word: anti words get the discharged background, each
     // true word its rotation-assigned pattern.
-    let mut image = vec![0u8; total_bytes];
-    for word in 0..num_words {
-        if knowledge.cell_type_of_word(chip, word) == CellType::Anti {
-            write_word_into_image(&mut image, &knowledge.word_layout, word, &anti_background);
+    let mut image = vec![0u8; chip.geometry().total_bytes()];
+    for (word, &cell_type) in cell_types.iter().enumerate() {
+        if cell_type == CellType::Anti {
+            write_word_into_image(&mut image, layout, word, &anti_background);
         }
     }
-    let mut assigned: Vec<usize> = Vec::with_capacity(true_words.len());
     for (idx, &word) in true_words.iter().enumerate() {
-        let pi = (idx + rotation) % patterns.len();
-        assigned.push(pi);
-        let data = patterns[pi].to_dataword(CellType::True);
-        write_word_into_image(&mut image, &knowledge.word_layout, word, &data);
+        write_word_into_image(&mut image, layout, word, image_of(assigned(idx)));
     }
     chip.write_bytes(0, &image);
 
     chip.seek_trial(trial_base + unit as u64);
     chip.retention_test(trefw);
 
-    let read = chip.read_bytes(0, total_bytes);
+    let read = chip.read_bytes(0, image.len());
     for (idx, &word) in true_words.iter().enumerate() {
-        let pi = assigned[idx];
-        let written = patterns[pi].to_dataword(CellType::True);
-        let observed = read_word_from_image(&read, &knowledge.word_layout, word, k);
-        if observed != written {
-            for j in 0..k {
-                if observed.get(j) != written.get(j) && !patterns[pi].is_charged(j) {
-                    // An error at a DISCHARGED bit: unambiguously a
-                    // miscorrection (§4.2.2).
-                    profile.record_miscorrection(pi, j);
-                }
+        let pi = assigned(idx);
+        let written = image_of(pi).iter().zip(layout.word_addrs(word));
+        for (byte, (&w, addr)) in written.enumerate() {
+            // An error at a DISCHARGED (written 0) bit: unambiguously a
+            // miscorrection (§4.2.2).
+            let mut miscorrected = (read[addr] ^ w) & !w;
+            while miscorrected != 0 {
+                let bit = miscorrected.trailing_zeros() as usize;
+                miscorrected &= miscorrected - 1;
+                profile.record_miscorrection(pi, byte * 8 + bit);
             }
         }
         profile.record_trials(pi, 1);

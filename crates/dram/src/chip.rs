@@ -7,7 +7,6 @@ use crate::retention::{RetentionModel, TransientNoise};
 use crate::word_layout::WordLayout;
 use beer_ecc::design::{vendor_code, Manufacturer};
 use beer_gf2::BitVec;
-use std::collections::BTreeSet;
 
 /// The externally visible interface of a DRAM chip under test.
 ///
@@ -182,9 +181,13 @@ impl ChipConfig {
 pub struct SimChip {
     config: ChipConfig,
     ecc: OnDieEcc,
-    /// Charge state of every cell, packed per codeword.
+    /// Charge state of every cell, packed per codeword into
+    /// `limbs_per_cw` limbs; bits past `n` in a codeword's last limb stay
+    /// zero.
     charges: Vec<u64>,
-    words_per_cw: usize,
+    limbs_per_cw: usize,
+    /// All `n` codeword bits set: the charge inversion of anti-cell words.
+    anti_mask: BitVec,
     num_words: usize,
     celsius: f64,
     trial: u64,
@@ -206,13 +209,15 @@ impl SimChip {
             "geometry does not hold whole datawords"
         );
         let num_words = total / config.word_bytes;
-        let words_per_cw = ecc.n().div_ceil(64);
+        let limbs_per_cw = ecc.n().div_ceil(64);
+        let anti_mask = BitVec::ones(ecc.n());
         let celsius = config.initial_celsius;
         SimChip {
             config,
             ecc,
-            charges: vec![0; num_words * words_per_cw],
-            words_per_cw,
+            charges: vec![0; num_words * limbs_per_cw],
+            limbs_per_cw,
+            anti_mask,
             num_words,
             celsius,
             trial: 0,
@@ -261,41 +266,27 @@ impl SimChip {
         self.config.cell_layout.cell_type_of_row(row)
     }
 
-    #[inline]
-    fn charge(&self, word: usize, bit: usize) -> bool {
-        let w = self.charges[word * self.words_per_cw + bit / 64];
-        w >> (bit % 64) & 1 == 1
-    }
-
-    #[inline]
-    fn set_charge(&mut self, word: usize, bit: usize, value: bool) {
-        let slot = &mut self.charges[word * self.words_per_cw + bit / 64];
-        let mask = 1u64 << (bit % 64);
-        if value {
-            *slot |= mask;
-        } else {
-            *slot &= !mask;
-        }
+    /// The charge limbs of a word's codeword.
+    fn cw_limbs(&self, word: usize) -> std::ops::Range<usize> {
+        word * self.limbs_per_cw..(word + 1) * self.limbs_per_cw
     }
 
     /// The stored codeword of a word, translated from charges to logical
-    /// bits via the word's cell type.
+    /// bits via the word's cell type (anti cells invert every bit).
     fn stored_codeword(&self, word: usize) -> BitVec {
-        let ct = self.cell_type_of_word(word);
-        let n = self.ecc.n();
-        let mut cw = BitVec::zeros(n);
-        for bit in 0..n {
-            if ct.bit_of(self.charge(word, bit)) {
-                cw.set(bit, true);
-            }
+        let mut cw = BitVec::from_limbs(self.ecc.n(), &self.charges[self.cw_limbs(word)]);
+        if self.cell_type_of_word(word) == CellType::Anti {
+            cw ^= &self.anti_mask;
         }
         cw
     }
 
     fn store_codeword(&mut self, word: usize, cw: &BitVec) {
-        let ct = self.cell_type_of_word(word);
-        for bit in 0..self.ecc.n() {
-            self.set_charge(word, bit, ct.charge_of(cw.get(bit)));
+        let invert = self.cell_type_of_word(word) == CellType::Anti;
+        let limbs = self.cw_limbs(word);
+        let slots = &mut self.charges[limbs];
+        for ((slot, &bits), &mask) in slots.iter_mut().zip(cw.limbs()).zip(self.anti_mask.limbs()) {
+            *slot = if invert { bits ^ mask } else { bits };
         }
     }
 
@@ -334,26 +325,23 @@ impl SimChip {
     }
 }
 
-/// Converts `len` bytes of a byte slice into a bit vector (bit `i` of byte
-/// `b` becomes vector bit `8·b + i`).
+/// Converts bytes into a dataword: bit `i` of byte `b` becomes dataword
+/// bit `8·b + i`, so the bytes pack little-endian into the limbs.
 fn bytes_to_bits(bytes: &[u8]) -> BitVec {
-    let mut v = BitVec::zeros(bytes.len() * 8);
-    for (bi, &byte) in bytes.iter().enumerate() {
-        for i in 0..8 {
-            if byte >> i & 1 == 1 {
-                v.set(bi * 8 + i, true);
-            }
-        }
-    }
-    v
+    let limbs: Vec<u64> = bytes
+        .chunks(8)
+        .map(|chunk| {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(le)
+        })
+        .collect();
+    BitVec::from_limbs(bytes.len() * 8, &limbs)
 }
 
-fn bits_to_bytes(bits: &BitVec) -> Vec<u8> {
-    let mut out = vec![0u8; bits.len().div_ceil(8)];
-    for i in bits.iter_ones() {
-        out[i / 8] |= 1 << (i % 8);
-    }
-    out
+/// Byte `byte` of a dataword (the inverse of [`bytes_to_bits`]).
+fn byte_of(bits: &BitVec, byte: usize) -> u8 {
+    (bits.limbs()[byte / 8] >> (byte % 8 * 8)) as u8
 }
 
 impl DramInterface for SimChip {
@@ -367,38 +355,23 @@ impl DramInterface for SimChip {
             "write beyond end of chip"
         );
         let layout = self.config.word_layout;
-        let wb = self.config.word_bytes;
-        // Group the incoming bytes by dataword.
-        let mut touched: BTreeSet<usize> = BTreeSet::new();
-        for i in 0..data.len() {
-            touched.insert(layout.locate(addr + i).0);
-        }
-        for word in touched {
-            // Collect the bytes of this word covered by the write.
-            let mut covered: Vec<(usize, u8)> = Vec::new();
-            for byte in 0..wb {
-                let a = layout.addr_of(word, byte);
-                if a >= addr && a < addr + data.len() {
-                    covered.push((byte, data[a - addr]));
-                }
-            }
-            let new_data = if covered.len() == wb {
-                // Full overwrite: no read-modify-write needed.
-                let mut bytes = vec![0u8; wb];
-                for (byte, v) in covered {
-                    bytes[byte] = v;
-                }
-                bytes_to_bits(&bytes)
-            } else {
+        let range = addr..addr + data.len();
+        let mut bytes = vec![0u8; layout.word_bytes()];
+        for word in layout.words_spanning(addr, data.len()) {
+            if !layout.word_addrs(word).all(|a| range.contains(&a)) {
                 // Partial write: read-modify-write through the decoder,
                 // exactly like a real on-die-ECC chip.
-                let mut current = bits_to_bytes(&self.read_word(word));
-                for (byte, v) in covered {
-                    current[byte] = v;
+                let current = self.read_word(word);
+                for (byte, slot) in bytes.iter_mut().enumerate() {
+                    *slot = byte_of(&current, byte);
                 }
-                bytes_to_bits(&current[..wb])
-            };
-            self.write_word(word, &new_data);
+            }
+            for (slot, a) in bytes.iter_mut().zip(layout.word_addrs(word)) {
+                if range.contains(&a) {
+                    *slot = data[a - addr];
+                }
+            }
+            self.write_word(word, &bytes_to_bits(&bytes));
         }
     }
 
@@ -408,18 +381,15 @@ impl DramInterface for SimChip {
             "read beyond end of chip"
         );
         let layout = self.config.word_layout;
+        let range = addr..addr + len;
         let mut out = vec![0u8; len];
-        let mut cache: Option<(usize, Vec<u8>)> = None;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let (word, byte) = layout.locate(addr + i);
-            let bytes = match &cache {
-                Some((w, b)) if *w == word => b,
-                _ => {
-                    cache = Some((word, bits_to_bytes(&self.read_word(word))));
-                    &cache.as_ref().expect("just set").1
+        for word in layout.words_spanning(addr, len) {
+            let data = self.read_word(word);
+            for (byte, a) in layout.word_addrs(word).enumerate() {
+                if range.contains(&a) {
+                    out[a - addr] = byte_of(&data, byte);
                 }
-            };
-            *slot = bytes[byte];
+            }
         }
         out
     }
@@ -427,21 +397,36 @@ impl DramInterface for SimChip {
     fn retention_test(&mut self, trefw_seconds: f64) {
         let n = self.ecc.n();
         let retention = self.config.retention;
-        let noise = self.config.noise;
-        let seed = self.config.chip_seed;
+        let window = retention.effective_window(trefw_seconds, self.celsius);
         let trial = self.trial;
         self.trial += 1;
-        for word in 0..self.num_words {
-            for bit in 0..n {
-                let cell = (word * n + bit) as u64;
-                // Unidirectional decay: only CHARGED cells can fail (§3.2).
-                if self.charge(word, bit) && retention.fails(cell, trefw_seconds, self.celsius) {
-                    self.set_charge(word, bit, false);
+        // Unidirectional decay: only CHARGED cells can fail (§3.2), so
+        // visit the set bits only. Same comparison as
+        // `RetentionModel::fails`, with the window computed once.
+        for (word, limbs) in self.charges.chunks_exact_mut(self.limbs_per_cw).enumerate() {
+            for (li, limb) in limbs.iter_mut().enumerate() {
+                let mut charged = *limb;
+                while charged != 0 {
+                    let bit = charged.trailing_zeros() as usize;
+                    charged &= charged - 1;
+                    let cell = (word * n + li * 64 + bit) as u64;
+                    if retention.retention_seconds(cell) < window {
+                        *limb &= !(1 << bit);
+                    }
                 }
-                // Rare transient noise is bidirectional (§5.2).
-                if noise.flips(seed, trial, cell) {
-                    let cur = self.charge(word, bit);
-                    self.set_charge(word, bit, !cur);
+            }
+        }
+        // Rare transient noise is bidirectional (§5.2). It acts on each
+        // cell after that cell's own decay, so a second pass over every
+        // cell is exact.
+        let noise = self.config.noise;
+        if noise.flip_probability > 0.0 {
+            let seed = self.config.chip_seed;
+            for word in 0..self.num_words {
+                for bit in 0..n {
+                    if noise.flips(seed, trial, (word * n + bit) as u64) {
+                        self.charges[word * self.limbs_per_cw + bit / 64] ^= 1 << (bit % 64);
+                    }
                 }
             }
         }

@@ -64,6 +64,38 @@ impl WordLayout {
         }
     }
 
+    /// The byte addresses of a word's bytes `0..word_bytes()`, in order:
+    /// `addr_of(word_index, byte)` for each byte.
+    pub fn word_addrs(&self, word_index: usize) -> impl Iterator<Item = usize> {
+        let w = self.word_bytes();
+        let (base, stride) = match *self {
+            WordLayout::InterleavedPairs { .. } => (word_index / 2 * 2 * w + word_index % 2, 2),
+            WordLayout::Contiguous { .. } => (word_index * w, 1),
+        };
+        (0..w).map(move |byte| base + byte * stride)
+    }
+
+    /// The words holding at least one byte of `addr..addr + len`, in
+    /// increasing order, each once.
+    pub fn words_spanning(&self, addr: usize, len: usize) -> impl Iterator<Item = usize> {
+        let layout = *self;
+        let end = addr + len;
+        // Candidates: every word of the regions (or words) the range meets.
+        // Under `InterleavedPairs` a boundary region's other word may hold
+        // none of the range's bytes.
+        let words = match (len, layout) {
+            (0, _) => 0..0,
+            (_, WordLayout::InterleavedPairs { word_bytes }) => {
+                let region = 2 * word_bytes;
+                2 * (addr / region)..2 * ((end - 1) / region) + 2
+            }
+            (_, WordLayout::Contiguous { word_bytes }) => {
+                addr / word_bytes..(end - 1) / word_bytes + 1
+            }
+        };
+        words.filter(move |&word| layout.word_addrs(word).any(|a| (addr..end).contains(&a)))
+    }
+
     /// The dataword bit index of an addressed bit: `(addr, bit_in_byte)` →
     /// `(word_index, bit_within_word)`.
     pub fn locate_bit(&self, addr: usize, bit_in_byte: usize) -> (usize, usize) {
@@ -121,6 +153,47 @@ mod tests {
             seen[word][byte] = true;
         }
         assert!(seen.iter().flatten().all(|&b| b));
+    }
+
+    #[test]
+    fn word_addrs_match_addr_of() {
+        for layout in [
+            WordLayout::InterleavedPairs { word_bytes: 16 },
+            WordLayout::Contiguous { word_bytes: 16 },
+            WordLayout::InterleavedPairs { word_bytes: 3 },
+            WordLayout::Contiguous { word_bytes: 5 },
+        ] {
+            for word in 0..9 {
+                let expected: Vec<usize> = (0..layout.word_bytes())
+                    .map(|byte| layout.addr_of(word, byte))
+                    .collect();
+                assert_eq!(layout.word_addrs(word).collect::<Vec<_>>(), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn words_spanning_matches_brute_force_locate() {
+        for layout in [
+            WordLayout::InterleavedPairs { word_bytes: 4 },
+            WordLayout::Contiguous { word_bytes: 4 },
+            WordLayout::InterleavedPairs { word_bytes: 3 },
+            WordLayout::Contiguous { word_bytes: 5 },
+        ] {
+            for addr in [0, 1, 3, 5, 7, 8, 13] {
+                for len in [0, 1, 2, 3, 5, 7, 9, 17, 31] {
+                    let mut expected: Vec<usize> =
+                        (addr..addr + len).map(|a| layout.locate(a).0).collect();
+                    expected.sort_unstable();
+                    expected.dedup();
+                    assert_eq!(
+                        layout.words_spanning(addr, len).collect::<Vec<_>>(),
+                        expected,
+                        "{layout:?} addr {addr} len {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,30 @@ fn chip(seed: u64) -> SimChip {
     SimChip::new(ChipConfig::small_test_chip(seed).with_geometry(Geometry::new(1, 32, 64)))
 }
 
+/// The small test chip under the drawn word layout (`0`: interleaved
+/// pairs, `1`: contiguous) and cell layout (`0`: all true, `1`: all anti,
+/// `2`: alternating blocks of 3 and 5 rows).
+fn chip_with(seed: u64, word_layout: usize, cell_layout: usize) -> SimChip {
+    let base = ChipConfig::small_test_chip(seed).with_geometry(Geometry::new(1, 32, 64));
+    let word_bytes = base.word_bytes;
+    let word_layout = [
+        WordLayout::InterleavedPairs { word_bytes },
+        WordLayout::Contiguous { word_bytes },
+    ][word_layout];
+    let cell_layout = [
+        CellLayout::AllTrue,
+        CellLayout::AllAnti,
+        CellLayout::AlternatingBlocks {
+            block_rows: vec![3, 5],
+        },
+    ][cell_layout]
+        .clone();
+    SimChip::new(ChipConfig {
+        cell_layout,
+        ..base.with_word_layout(word_layout)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -15,10 +39,12 @@ proptest! {
     #[test]
     fn byte_interface_roundtrips(
         seed in any::<u64>(),
+        word_layout in 0usize..2,
+        cell_layout in 0usize..3,
         offset in 0usize..1024,
         data in prop::collection::vec(any::<u8>(), 1..128),
     ) {
-        let mut c = chip(seed);
+        let mut c = chip_with(seed, word_layout, cell_layout);
         let offset = offset.min(c.geometry().total_bytes() - data.len());
         c.write_bytes(offset, &data);
         prop_assert_eq!(c.read_bytes(offset, data.len()), data);
@@ -29,11 +55,13 @@ proptest! {
     #[test]
     fn overlapping_writes_last_wins(
         seed in any::<u64>(),
+        word_layout in 0usize..2,
+        cell_layout in 0usize..3,
         a in prop::collection::vec(any::<u8>(), 32),
         b in prop::collection::vec(any::<u8>(), 16),
         shift in 0usize..16,
     ) {
-        let mut c = chip(seed);
+        let mut c = chip_with(seed, word_layout, cell_layout);
         c.write_bytes(0, &a);
         c.write_bytes(shift, &b);
         let mut expect = a.clone();

@@ -90,6 +90,26 @@ impl BitVec {
         v
     }
 
+    /// Creates a length-`len` vector from packed limbs: bit `i` is bit
+    /// `i % 64` of `limbs[i / 64]`. Bits at and past `len` are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limbs.len()` is not `len.div_ceil(64)`.
+    pub fn from_limbs(len: usize, limbs: &[u64]) -> Self {
+        assert_eq!(
+            limbs.len(),
+            len.div_ceil(WORD_BITS),
+            "limb count does not match length {len}"
+        );
+        let mut v = BitVec {
+            len,
+            words: limbs.to_vec(),
+        };
+        v.mask_tail();
+        v
+    }
+
     /// Creates a unit vector: length `len`, single one at `index`.
     ///
     /// # Panics
@@ -109,6 +129,12 @@ impl BitVec {
     /// Returns `true` if the vector has length zero.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The packed limbs (see [`BitVec::from_limbs`]); bits past `len()`
+    /// are zero.
+    pub fn limbs(&self) -> &[u64] {
+        &self.words
     }
 
     /// Value of bit `index`.
@@ -258,11 +284,17 @@ impl BitVec {
     /// Concatenates `self` followed by `other` into a new vector.
     pub fn concat(&self, other: &BitVec) -> BitVec {
         let mut out = BitVec::zeros(self.len + other.len);
-        for i in self.iter_ones() {
-            out.set(i, true);
-        }
-        for i in other.iter_ones() {
-            out.set(self.len + i, true);
+        out.words[..self.words.len()].copy_from_slice(&self.words);
+        // Shift `other`'s limbs up by `self.len`; bits shifted past the
+        // last limb are tail bits, which are zero.
+        let (q, r) = (self.len / WORD_BITS, self.len % WORD_BITS);
+        for (i, &w) in other.words.iter().enumerate() {
+            out.words[q + i] |= w << r;
+            if r != 0 {
+                if let Some(next) = out.words.get_mut(q + i + 1) {
+                    *next |= w >> (WORD_BITS - r);
+                }
+            }
         }
         out
     }
@@ -275,11 +307,15 @@ impl BitVec {
     pub fn slice(&self, range: std::ops::Range<usize>) -> BitVec {
         assert!(range.start <= range.end && range.end <= self.len);
         let mut out = BitVec::zeros(range.end - range.start);
-        for i in range.clone() {
-            if self.get(i) {
-                out.set(i - range.start, true);
-            }
+        let (q, r) = (range.start / WORD_BITS, range.start % WORD_BITS);
+        for (i, slot) in out.words.iter_mut().enumerate() {
+            let high = match self.words.get(q + i + 1) {
+                Some(&w) if r != 0 => w << (WORD_BITS - r),
+                _ => 0,
+            };
+            *slot = self.words[q + i] >> r | high;
         }
+        out.mask_tail();
         out
     }
 
@@ -445,6 +481,36 @@ mod tests {
     }
 
     #[test]
+    fn limbs_roundtrip_and_mask_the_tail() {
+        for len in [71usize, 64, 137] {
+            let limbs: Vec<u64> = (0..len.div_ceil(64) as u64)
+                .map(|i| 0xA5A5_5A5A_F00F_0FF0u64.rotate_left(i as u32 * 7) | 1 << 63)
+                .collect();
+            let v = BitVec::from_limbs(len, &limbs);
+            assert_eq!(v.len(), len);
+            for i in 0..len {
+                assert_eq!(
+                    v.get(i),
+                    limbs[i / 64] >> (i % 64) & 1 == 1,
+                    "len {len} bit {i}"
+                );
+            }
+            // Bit 63 of every limb is set, so a partial last limb has a
+            // tail to clear.
+            if len % 64 != 0 {
+                assert_eq!(v.limbs()[len / 64] >> (len % 64), 0, "len {len} tail");
+            }
+            assert_eq!(BitVec::from_limbs(len, v.limbs()), v);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "limb count")]
+    fn from_limbs_rejects_wrong_limb_count() {
+        BitVec::from_limbs(65, &[0]);
+    }
+
+    #[test]
     fn unit_vector() {
         let v = BitVec::unit(9, 5);
         assert_eq!(v.weight(), 1);
@@ -493,6 +559,21 @@ mod tests {
         assert_eq!(c.iter_ones().collect::<Vec<_>>(), vec![0, 6]);
         assert_eq!(c.slice(3..7), b);
         assert_eq!(c.slice(0..3), a);
+    }
+
+    #[test]
+    fn concat_and_slice_match_bitwise_at_every_offset() {
+        let v = BitVec::from_indices(150, &[0, 1, 5, 63, 64, 70, 127, 128, 140, 149]);
+        for start in 0..=150 {
+            for end in [start, (start + 1).min(150), (start + 64).min(150), 150] {
+                let s = v.slice(start..end);
+                let bits: Vec<bool> = (start..end).map(|i| v.get(i)).collect();
+                assert_eq!(s, BitVec::from_bits(&bits), "slice {start}..{end}");
+                let c = s.concat(&v);
+                let joined: Vec<bool> = bits.iter().copied().chain(v.iter()).collect();
+                assert_eq!(c, BitVec::from_bits(&joined), "concat at {}", s.len());
+            }
+        }
     }
 
     #[test]
