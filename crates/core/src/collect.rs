@@ -176,7 +176,6 @@ mod tests {
     use crate::pattern::PatternSet;
     use crate::profile::{MiscorrectionProfile, ProfileConstraints, ThresholdFilter};
     use beer_dram::{ChipConfig, Geometry, SimChip};
-    use beer_gf2::BitVec;
 
     /// Collects `patterns` from a fresh quick chip, returning the profile
     /// and the chip's ground-truth analytic profile.
@@ -208,13 +207,10 @@ mod tests {
         ];
         let images = true_cell_images(&patterns, 4);
         for (image, pattern) in images.chunks_exact(4).zip(&patterns) {
-            let bits = BitVec::from_limbs(
-                32,
-                &[u64::from(u32::from_le_bytes(
-                    image.try_into().expect("4 bytes"),
-                ))],
-            );
-            assert_eq!(bits, pattern.to_dataword(CellType::True));
+            let data = pattern.to_dataword(CellType::True);
+            for j in 0..32 {
+                assert_eq!(image[j / 8] >> (j % 8) & 1 == 1, data.get(j), "bit {j}");
+            }
         }
         for layout in [
             WordLayout::InterleavedPairs { word_bytes: 4 },
