@@ -28,8 +28,7 @@
 //! EINSim Monte-Carlo, or a recorded [`trace`] — through parallel batched
 //! collection and an incremental SAT session so collection and solving
 //! interleave, stopping at the first unique solution (§6.3), with
-//! cancellation, budgets, progress events, trace checkpointing, and a
-//! [`recovery::RecoveryFleet`] batch runner on top.
+//! cancellation, budgets, progress events and trace checkpointing on top.
 //!
 //! [`analytic`] computes exact profiles from known codes (the simulation
 //! methodology of §6.1), and [`runtime`] models experiment runtimes
@@ -75,10 +74,9 @@ pub use pattern::{ChargedSet, PatternSet};
 pub use profile::{MiscorrectionProfile, Observation, ProfileConstraints, ThresholdFilter};
 pub use recovery::{
     lock_unpoisoned, run_session_guarded, BudgetReason, CancelToken, FamilyCostEstimate, Fanout,
-    FanoutNotify, FleetMember, FleetOutcome, PatternSchedule, RecoveryConfig, RecoveryError,
-    RecoveryEvent, RecoveryFleet, RecoveryOutcome, RecoveryReport, RecoverySession, RecoveryStats,
-    RoundPhases, ScheduleCostModel, ScheduleCostReport, SessionHooks, SessionStatus,
-    TimedCostModel,
+    FanoutNotify, PatternSchedule, RecoveryConfig, RecoveryError, RecoveryEvent, RecoveryOutcome,
+    RecoveryReport, RecoverySession, RecoveryStats, RoundPhases, ScheduleCostModel,
+    ScheduleCostReport, SessionStatus, TimedCostModel,
 };
 pub use solve::{solve_profile, BeerSolverOptions, SolveReport};
 pub use trace::{

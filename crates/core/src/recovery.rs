@@ -26,9 +26,6 @@
 //!   the session accumulates every collected unit into a
 //!   [`ProfileTrace`]; replaying it through
 //!   [`crate::trace::ReplayBackend`] reproduces the outcome bit for bit.
-//! * **Fleet execution.** [`RecoveryFleet`] runs N independent sessions —
-//!   one per chip of a population — concurrently over a shared thread
-//!   budget, returning per-member reports in deterministic member order.
 //!
 //! The free functions [`crate::engine::try_collect_with`] and
 //! [`crate::solve::solve_profile`] remain as low-level entry points for
@@ -67,7 +64,6 @@ use crate::trace::{ProfileTrace, UnitTrace};
 use beer_ecc::{hamming, LinearCode};
 use beer_sat::SolverStats;
 use beer_timing::{plan_cost_ns, ArrayGeometry, TimingParams};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -75,10 +71,11 @@ use std::time::{Duration, Instant};
 
 /// Locks a mutex, recovering from poisoning.
 ///
-/// Every shared structure of the fleet and of `beer_service` holds plain
-/// counting/slot state that is valid after any partial update, and member
-/// panics are already surfaced as typed per-member errors — so a poisoned
-/// lock must not cascade into aborting unrelated members.
+/// The shared structures of `beer_core`, `beer_service` and `beer_net`
+/// hold plain counting/slot/queue state that is valid after any partial
+/// update, and session panics are already surfaced as typed per-job
+/// errors — so a poisoned lock must not cascade into aborting unrelated
+/// jobs or connections.
 pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
@@ -683,11 +680,6 @@ impl RecoveryConfig {
     pub fn scheduled_patterns(&self, k: usize) -> usize {
         self.schedule.resolve(k).iter().map(|b| b.len()).sum()
     }
-
-    /// A fleet runner over this configuration (see [`RecoveryFleet`]).
-    pub fn fleet(&self) -> RecoveryFleet {
-        RecoveryFleet::new(self.clone())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,75 +1043,30 @@ impl<'s> RecoverySession<'s> {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet
+// Guarded execution
 // ---------------------------------------------------------------------------
 
-/// One chip of a fleet: a label (for the report) and its backend.
-pub struct FleetMember {
-    /// Name carried through to the [`FleetOutcome`].
-    pub label: String,
-    /// The member's profile source.
-    pub source: Box<dyn ProfileSource + Send>,
-}
-
-impl FleetMember {
-    /// A labeled member.
-    pub fn new(label: impl Into<String>, source: Box<dyn ProfileSource + Send>) -> Self {
-        FleetMember {
-            label: label.into(),
-            source,
-        }
-    }
-}
-
-/// One member's result, in the input order.
-#[derive(Debug)]
-pub struct FleetOutcome {
-    /// The member's label.
-    pub label: String,
-    /// The member's session result.
-    pub result: Result<RecoveryReport, RecoveryError>,
-}
-
-/// Optional per-session hooks for [`run_session_guarded`]: an external
-/// cancellation token and an event observer.
-#[derive(Default)]
-pub struct SessionHooks {
-    /// Arms the session with this token (see
-    /// [`RecoverySession::with_cancel_token`]).
-    pub cancel: Option<CancelToken>,
-    /// Progress observer (see [`RecoverySession::with_observer`]).
-    #[allow(clippy::type_complexity)]
-    pub observer: Option<Box<dyn FnMut(&RecoveryEvent) + Send>>,
-}
-
-/// Runs one configured session over `source` to completion, converting a
-/// panicking backend into a typed [`RecoveryError`] attributed to `label`
-/// instead of unwinding into the caller.
+/// Runs one configured session over `source` to completion, armed with
+/// `cancel` and reporting progress to `observer`, converting a panicking
+/// backend into a typed [`RecoveryError`] attributed to `label` instead of
+/// unwinding into the caller.
 ///
-/// This is the execution core shared by [`RecoveryFleet`] workers and the
-/// `beer_service` job workers: both must guarantee that one misbehaving
-/// member/job cannot take down its siblings. Even a panic *payload* whose
-/// `Drop` panics again is contained here.
+/// This is the execution core of the `beer_service` job workers: one
+/// misbehaving job must not take down its siblings or the worker that ran
+/// it. Even a panic *payload* whose `Drop` panics again is contained here.
 pub fn run_session_guarded(
     config: &RecoveryConfig,
     label: &str,
     source: &mut dyn ProfileSource,
-    hooks: SessionHooks,
+    cancel: CancelToken,
+    observer: impl FnMut(&RecoveryEvent),
 ) -> Result<RecoveryReport, RecoveryError> {
-    let SessionHooks {
-        cancel,
-        mut observer,
-    } = hooks;
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut session = config.session(source);
-        if let Some(token) = cancel {
-            session = session.with_cancel_token(token);
-        }
-        if let Some(observer) = observer.as_mut() {
-            session = session.with_observer(move |event| observer(event));
-        }
-        session.run_to_completion()
+        config
+            .session(source)
+            .with_cancel_token(cancel)
+            .with_observer(observer)
+            .run_to_completion()
     }));
     match run {
         Ok(result) => result,
@@ -1133,86 +1080,5 @@ pub fn run_session_guarded(
                 message,
             }))
         }
-    }
-}
-
-/// Runs N independent recovery sessions — one per [`FleetMember`] —
-/// concurrently over a shared thread budget.
-///
-/// Each member's session runs serially (its engine thread count is forced
-/// to 1) so the fleet's worker count bounds total parallelism, and every
-/// session is deterministic; results therefore equal N serial sessions run
-/// one after another, returned in member order regardless of completion
-/// order.
-pub struct RecoveryFleet {
-    config: RecoveryConfig,
-    threads: usize,
-}
-
-impl RecoveryFleet {
-    /// A fleet over the given per-member configuration.
-    pub fn new(config: RecoveryConfig) -> Self {
-        RecoveryFleet { config, threads: 0 }
-    }
-
-    /// Worker threads (`0` = available parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Runs every member to completion and returns their reports in
-    /// member order.
-    pub fn run(&self, members: Vec<FleetMember>) -> Vec<FleetOutcome> {
-        // Sessions collect serially inside fleet workers: the fleet's own
-        // worker count is the thread budget.
-        let mut config = self.config.clone();
-        config.engine = EngineOptions::serial();
-        let n = members.len();
-        let workers = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        }
-        .min(n.max(1));
-
-        let queue: Mutex<VecDeque<(usize, FleetMember)>> =
-            Mutex::new(members.into_iter().enumerate().collect());
-        let slots: Mutex<Vec<Option<FleetOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // The queue/slots locks recover from poisoning: a
-                    // panicking member is surfaced as that member's typed
-                    // error (below), never by aborting unrelated members
-                    // stuck behind a poisoned mutex.
-                    let Some((idx, mut member)) = lock_unpoisoned(&queue).pop_front() else {
-                        break;
-                    };
-                    // A member whose backend panics must not take the rest
-                    // of the fleet down: the panic becomes that member's
-                    // typed error and the worker moves on.
-                    let label = format!("fleet member {:?}", member.label);
-                    let result = run_session_guarded(
-                        &config,
-                        &label,
-                        member.source.as_mut(),
-                        SessionHooks::default(),
-                    );
-                    lock_unpoisoned(&slots)[idx] = Some(FleetOutcome {
-                        label: member.label,
-                        result,
-                    });
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .into_iter()
-            .map(|slot| slot.expect("every member was processed"))
-            .collect()
     }
 }

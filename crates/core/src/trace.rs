@@ -751,12 +751,19 @@ impl TraceAssembler {
 #[derive(Clone)]
 pub struct ReplayBackend {
     trace: Arc<ProfileTrace>,
-    /// Trace pattern index → requested pattern index for the collection in
-    /// flight (built by `begin_collection`; `None` = not requested).
-    mapping: Arc<Vec<Option<usize>>>,
+    /// The collection in flight, built by `begin_collection` (`None`
+    /// before the first one).
+    collection: Option<Arc<ReplayCollection>>,
+}
+
+/// How one collection's requested patterns map onto the trace.
+struct ReplayCollection {
+    /// Trace pattern index → requested pattern index (`None` = not
+    /// requested).
+    mapping: Vec<Option<usize>>,
     /// Trace units holding at least one mapped record — the replay's work
     /// units, so a batch only replays its own share of a long recording.
-    active_units: Arc<Vec<usize>>,
+    active_units: Vec<usize>,
 }
 
 impl ReplayBackend {
@@ -765,14 +772,22 @@ impl ReplayBackend {
     pub fn new(trace: impl Into<Arc<ProfileTrace>>) -> Self {
         ReplayBackend {
             trace: trace.into(),
-            mapping: Arc::new(Vec::new()),
-            active_units: Arc::new(Vec::new()),
+            collection: None,
         }
     }
 
     /// The wrapped trace.
     pub fn trace(&self) -> &ProfileTrace {
         &self.trace
+    }
+
+    /// The collection in flight. Only `begin_collection` knows which
+    /// recorded patterns a collection requests, so driving the unit
+    /// protocol without it is a loud error, never an empty collection.
+    fn collection(&self) -> &ReplayCollection {
+        self.collection
+            .as_deref()
+            .expect("ReplayBackend needs begin_collection before num_units/run_unit")
     }
 }
 
@@ -785,22 +800,8 @@ impl ProfileSource for ReplayBackend {
         "replay".to_string()
     }
 
-    fn num_units(&self, patterns: &[ChargedSet], _plan: &CollectionPlan) -> usize {
-        if self.mapping.is_empty() {
-            // Driven through the raw unit protocol without
-            // `begin_collection` (which builds the subset mapping): only
-            // the identity replay is possible, and a mismatch must stay
-            // loud rather than yield a silently empty collection.
-            assert_eq!(
-                patterns,
-                &self.trace.patterns[..],
-                "replay pattern list differs from the recorded trace \
-                 (call begin_collection to replay a subset)"
-            );
-            self.trace.units.len()
-        } else {
-            self.active_units.len()
-        }
+    fn num_units(&self, _patterns: &[ChargedSet], _plan: &CollectionPlan) -> usize {
+        self.collection().active_units.len()
     }
 
     fn begin_collection(
@@ -861,8 +862,10 @@ impl ProfileSource for ReplayBackend {
             })
             .map(|(ui, _)| ui)
             .collect();
-        self.mapping = Arc::new(mapping);
-        self.active_units = Arc::new(active_units);
+        self.collection = Some(Arc::new(ReplayCollection {
+            mapping,
+            active_units,
+        }));
         Ok(())
     }
 
@@ -873,21 +876,9 @@ impl ProfileSource for ReplayBackend {
         _plan: &CollectionPlan,
         profile: &mut MiscorrectionProfile,
     ) -> Result<(), EngineError> {
-        // Identity replay when the raw protocol skipped begin_collection
-        // (num_units has already asserted the pattern lists match).
-        let identity = self.mapping.is_empty();
-        let map = |pi: usize| {
-            if identity {
-                Some(pi)
-            } else {
-                self.mapping.get(pi).copied().flatten()
-            }
-        };
-        let ut = if identity {
-            &self.trace.units[unit]
-        } else {
-            &self.trace.units[self.active_units[unit]]
-        };
+        let collection = self.collection();
+        let map = |pi: usize| collection.mapping.get(pi).copied().flatten();
+        let ut = &self.trace.units[collection.active_units[unit]];
         for &(pi, bit, count) in &ut.miscorrections {
             if let Some(ri) = map(pi) {
                 profile.record_miscorrections(ri, bit, count);
@@ -1307,29 +1298,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_protocol_replay_without_begin_collection_is_identity_and_loud() {
-        // Drivers of the bare unit protocol (no begin_collection) get the
-        // identity replay with the full unit count — never a silently
-        // empty collection.
-        let (trace, original) = sample_trace();
-        let patterns = trace.patterns.clone();
-        let plan = CollectionPlan::quick();
-        let mut replay = ReplayBackend::new(trace);
-        let n = replay.num_units(&patterns, &plan);
-        assert!(n > 0, "raw protocol must see every recorded unit");
-        let mut profile = MiscorrectionProfile::new(8, patterns.clone());
-        for unit in 0..n {
-            replay
-                .run_unit(unit, &patterns, &plan, &mut profile)
-                .expect("identity replay");
-        }
-        for pi in 0..patterns.len() {
-            assert_eq!(original.trials(pi), profile.trials(pi));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "differs from the recorded trace")]
+    #[should_panic(expected = "begin_collection")]
     fn raw_protocol_replay_rejects_mismatched_patterns() {
         let (trace, _) = sample_trace();
         let replay = ReplayBackend::new(trace);

@@ -52,6 +52,7 @@ use crate::wire::{
     self, ErrorKind, Message, WireError, WireEvent, WireJobError, WireOutcome, WireOutput,
     WireRecord, WireResult,
 };
+use beer_core::recovery::lock_unpoisoned;
 use beer_core::trace::{Fingerprint, TraceAssembler, VerifiedTrace};
 use beer_obs::{Counter, Histogram, TraceId};
 use beer_service::{
@@ -300,10 +301,6 @@ impl Shared {
     }
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 // ---------------------------------------------------------------------------
 // Cluster forwarding
 // ---------------------------------------------------------------------------
@@ -411,7 +408,7 @@ impl ForwardHub {
     /// Queues a task for the forwarder pool; `false` when the queue is
     /// at its bound (the caller answers typed Busy).
     fn submit(&self, task: ForwardTask) -> bool {
-        let mut tasks = lock(&self.tasks);
+        let mut tasks = lock_unpoisoned(&self.tasks);
         if tasks.len() >= MAX_PENDING_FORWARDS {
             return false;
         }
@@ -427,12 +424,12 @@ impl ForwardHub {
     }
 
     fn post(&self, token: u64, outcome: ForwardOutcome) {
-        lock(&self.wake.forward_updates).push(ForwardUpdate { token, outcome });
+        lock_unpoisoned(&self.wake.forward_updates).push(ForwardUpdate { token, outcome });
         self.wake.waker.wake();
     }
 
     fn take_client(&self, addr: &str) -> Result<Client, ClientError> {
-        if let Some(client) = lock(&self.idle).get_mut(addr).and_then(Vec::pop) {
+        if let Some(client) = lock_unpoisoned(&self.idle).get_mut(addr).and_then(Vec::pop) {
             return Ok(client);
         }
         Client::connect_with(
@@ -444,7 +441,7 @@ impl ForwardHub {
     }
 
     fn put_client(&self, addr: String, client: Client) {
-        let mut idle = lock(&self.idle);
+        let mut idle = lock_unpoisoned(&self.idle);
         let pool = idle.entry(addr).or_default();
         if pool.len() < MAX_POOLED_PEER_CLIENTS {
             pool.push(client);
@@ -456,7 +453,7 @@ impl ForwardHub {
     fn run(self: &Arc<ForwardHub>) {
         loop {
             let task = {
-                let mut tasks = lock(&self.tasks);
+                let mut tasks = lock_unpoisoned(&self.tasks);
                 loop {
                     if let Some(task) = tasks.pop_front() {
                         break Some(task);
@@ -658,14 +655,14 @@ impl NetServer {
     /// can recognize staleness; installing an older epoch is allowed
     /// (the server trusts its operator) but clients will not adopt it.
     pub fn set_ring(&self, ring: Ring) {
-        *lock(&self.shared.ring) = Some(Arc::new(ring));
+        *lock_unpoisoned(&self.shared.ring) = Some(Arc::new(ring));
         self.shared.ring_push.store(true, Ordering::SeqCst);
         self.shared.wake.waker.wake();
     }
 
     /// The currently installed cluster ring, if any.
     pub fn ring(&self) -> Option<Arc<Ring>> {
-        lock(&self.shared.ring).clone()
+        lock_unpoisoned(&self.shared.ring).clone()
     }
 
     /// Stops admitting new submissions (they get
@@ -696,7 +693,7 @@ impl NetServer {
         // Wait for watchers to collect their terminal frames and for
         // write queues to flush, as reported by the reactor.
         {
-            let mut gauge = lock(&self.shared.drain_gauge);
+            let mut gauge = lock_unpoisoned(&self.shared.drain_gauge);
             while *gauge != (0, 0) {
                 let Some(remaining) = deadline
                     .checked_duration_since(Instant::now())
@@ -1040,12 +1037,13 @@ impl Reactor {
                     token => self.conn_ready(token, ev),
                 }
             }
-            let woken: Vec<u64> = std::mem::take(&mut *lock(&self.shared.wake.watch_wakeups));
+            let woken: Vec<u64> =
+                std::mem::take(&mut *lock_unpoisoned(&self.shared.wake.watch_wakeups));
             for token in woken {
                 self.watch_ready(token);
             }
             let updates: Vec<ForwardUpdate> =
-                std::mem::take(&mut *lock(&self.shared.wake.forward_updates));
+                std::mem::take(&mut *lock_unpoisoned(&self.shared.wake.forward_updates));
             for update in updates {
                 self.apply_forward_update(update);
             }
@@ -1212,7 +1210,7 @@ impl Reactor {
 
     /// Pushes the freshly installed ring to every authed peer.
     fn broadcast_ring(&mut self) {
-        let Some(ring) = lock(&self.shared.ring).clone() else {
+        let Some(ring) = lock_unpoisoned(&self.shared.ring).clone() else {
             return;
         };
         let config = self.shared.config.clone();
@@ -1385,7 +1383,7 @@ impl Reactor {
             .filter(|c| c.watch.is_some() || c.forwarded.values().any(|f| f.watching))
             .count();
         let unflushed: usize = self.conns.iter().flatten().map(|c| c.out_bytes).sum();
-        *lock(&self.shared.drain_gauge) = (watches, unflushed);
+        *lock_unpoisoned(&self.shared.drain_gauge) = (watches, unflushed);
         self.shared.drain_cv.notify_all();
     }
 
@@ -1451,7 +1449,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                     conn.close_after_flush = true;
                     return;
                 }
-                let ring = lock(&shared.ring).clone().map(|r| (*r).clone());
+                let ring = lock_unpoisoned(&shared.ring).clone().map(|r| (*r).clone());
                 conn.queue(
                     pool,
                     config,
@@ -1544,7 +1542,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 Ok(None) => {}
                 Ok(Some(trace)) => {
                     conn.assemblies.remove(&fingerprint);
-                    lock(&shared.uploads).insert(trace);
+                    lock_unpoisoned(&shared.uploads).insert(trace);
                     conn.queue(pool, config, &Message::TraceAck { fingerprint });
                 }
                 Err(e) => {
@@ -1573,12 +1571,14 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
             // Cluster routing: a fingerprint this node does not own is
             // proxied to its owner (trace in hand) or redirected with a
             // typed WrongNode so a ring-aware client can re-dial.
-            if let (Some(cluster), Some(ring)) = (&config.cluster, lock(&shared.ring).clone()) {
+            if let (Some(cluster), Some(ring)) =
+                (&config.cluster, lock_unpoisoned(&shared.ring).clone())
+            {
                 let owner = ring.owner(fingerprint);
                 if owner.name != cluster.member {
                     let owner_name = owner.name.clone();
                     let owner_addr = owner.addr.clone();
-                    match lock(&shared.uploads).get(fingerprint) {
+                    match lock_unpoisoned(&shared.uploads).get(fingerprint) {
                         Some(trace) => {
                             // Mint here if the client did not: the id
                             // must exist before the hop so both nodes'
@@ -1670,7 +1670,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 );
                 return;
             }
-            let ring = lock(&shared.ring).clone();
+            let ring = lock_unpoisoned(&shared.ring).clone();
             let owned = ring
                 .as_ref()
                 .is_some_and(|r| r.owns(&cluster.member, fingerprint));
@@ -1860,7 +1860,7 @@ fn submit_local(
     trace_id: Option<u128>,
 ) {
     let config = &shared.config;
-    let Some(trace) = lock(&shared.uploads).get(fingerprint) else {
+    let Some(trace) = lock_unpoisoned(&shared.uploads).get(fingerprint) else {
         conn.queue_error(
             pool,
             config,
@@ -1934,7 +1934,7 @@ fn start_watch(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, id: Jo
     let rx = shared.service.subscribe_notified(
         id,
         Arc::new(move || {
-            lock(&hook_wake.watch_wakeups).push(token);
+            lock_unpoisoned(&hook_wake.watch_wakeups).push(token);
             hook_wake.waker.wake();
         }),
     );

@@ -14,9 +14,9 @@
 //! running profile absorbs the submission as a waiter), and *admission
 //! control* (typed [`Rejected`] backpressure once the bounded queue is
 //! full). Jobs that do run are driven by a fixed worker pool through
-//! [`run_session_guarded`] — the same guarded execution core as
-//! [`RecoveryFleet`](beer_core::recovery::RecoveryFleet), so a panicking
-//! backend becomes that job's typed failure, never the pool's.
+//! [`run_session_guarded`], so a panicking backend becomes that job's
+//! typed failure, never the pool's. A chip population is one
+//! [`JobRequest::source`] per chip: the pool recovers them concurrently.
 
 use crate::job::{
     CodeOutcome, JobError, JobEvent, JobId, JobInput, JobOutput, JobRequest, JobResult, JobState,
@@ -27,7 +27,7 @@ use crate::registry::{CodeEntry, JobRecord, Registry};
 use beer_core::engine::ProfileSource;
 use beer_core::recovery::{
     lock_unpoisoned, run_session_guarded, BudgetReason, CancelToken, Fanout, FanoutNotify,
-    RecoveryConfig, RecoveryEvent, RecoveryOutcome, SessionHooks,
+    RecoveryConfig, RecoveryEvent, RecoveryOutcome,
 };
 use beer_core::trace::{Fingerprint, ProfileTrace, ReplayBackend};
 use beer_ecc::{equivalence, LinearCode};
@@ -124,9 +124,8 @@ impl From<StartError> for io::Error {
 /// Configuration of a [`RecoveryService`].
 pub struct ServiceConfig {
     /// Worker threads. Each worker drives one session at a time with a
-    /// serial collection engine, so this bounds total parallelism exactly
-    /// like a [`RecoveryFleet`](beer_core::recovery::RecoveryFleet)'s
-    /// thread budget. Defaults to the machine's available parallelism;
+    /// serial collection engine, so this bounds total parallelism exactly.
+    /// Defaults to the machine's available parallelism;
     /// `0` is a typed [`ConfigError::ZeroWorkers`] at start.
     pub workers: usize,
     /// Bounded queue capacity; beyond it, [`Rejected::QueueFull`]. `0` is
@@ -1430,18 +1429,16 @@ fn worker_loop(inner: &Inner) {
         if let Some(at) = deadline_at {
             config = config.with_deadline(at.saturating_duration_since(Instant::now()));
         }
-        let hooks = SessionHooks {
-            cancel: Some(cancel),
-            observer: Some(Box::new(observer)),
-        };
         let run_start = Instant::now();
         let run = match input {
             RunInput::Trace(trace) => {
                 let mut backend = ReplayBackend::new(trace);
-                run_session_guarded(&config, &format!("{id} (replay)"), &mut backend, hooks)
+                let label = format!("{id} (replay)");
+                run_session_guarded(&config, &label, &mut backend, cancel, observer)
             }
             RunInput::Source { label, mut source } => {
-                run_session_guarded(&config, &format!("{id} ({label})"), source.as_mut(), hooks)
+                let label = format!("{id} ({label})");
+                run_session_guarded(&config, &label, source.as_mut(), cancel, observer)
             }
         };
         obs.record(&obs.solve_time, run_start.elapsed());

@@ -7,12 +7,12 @@
 //! error-prone, so protection can be weighted accordingly (§7.2.1).
 //!
 //! The architect does not get the vendors' functions on a datasheet: a
-//! [`RecoveryFleet`] first recovers all three concurrently — one
-//! [`RecoverySession`] per manufacturer's chip model, over a shared
-//! thread budget, with deterministic per-member results. The example then
-//! simulates the same uniform-random raw errors through each *recovered*
-//! function, prints the per-bit miscorrection distribution each induces,
-//! and derives the asymmetric-protection hint.
+//! [`RecoveryService`] first recovers all three concurrently — one
+//! [`JobRequest::source`] per manufacturer's chip model, run by the
+//! service's worker pool, with results read back in submission order. The
+//! example then simulates the same uniform-random raw errors through each
+//! *recovered* function, prints the per-bit miscorrection distribution
+//! each induces, and derives the asymmetric-protection hint.
 //!
 //! Run with: `cargo run --release --example ecc_design_space`
 
@@ -20,40 +20,55 @@ use beer::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), StartError> {
     let k = 32;
     let words = 400_000u64;
     let ber = 2e-2;
     let data = BitVec::ones(k); // the paper's 0xFF pattern
 
     // ------------------------------------------------------------------
-    // Fleet recovery: one session per manufacturer, run concurrently.
+    // Population recovery: one service job per manufacturer, run
+    // concurrently by the worker pool.
     // ------------------------------------------------------------------
-    let members: Vec<FleetMember> = Manufacturer::ALL
+    let service = RecoveryService::start(
+        ServiceConfig::new().with_recovery(RecoveryConfig::new().with_chunked_schedule(64)),
+    )?;
+    // Subscribed before the first submission, so no job's rounds are missed.
+    let events = service.subscribe_all();
+    let jobs: Vec<(Manufacturer, JobId)> = Manufacturer::ALL
         .iter()
         .map(|&m| {
-            FleetMember::new(
-                format!("manufacturer {m}"),
-                Box::new(AnalyticBackend::new(vendor_code(m, k, 0))),
-            )
+            let backend = AnalyticBackend::new(vendor_code(m, k, 0));
+            let request = JobRequest::source("architect", format!("chip {m}"), Box::new(backend));
+            (m, service.submit(request).expect("admitted"))
         })
         .collect();
-    let fleet = RecoveryConfig::new().with_chunked_schedule(64).fleet();
-    let outcomes = fleet.run(members);
+    let codes: Vec<LinearCode> = jobs
+        .iter()
+        .map(|&(_, id)| {
+            let output = service.wait(id).expect("analytic backends cannot fail");
+            let code = output.outcome.unique_code().cloned();
+            code.expect("vendor codes recover uniquely")
+        })
+        .collect();
+    let events: Vec<JobEvent> = events.try_iter().collect();
+    service.shutdown();
     println!(
-        "recovered {} on-die ECC functions concurrently via RecoveryFleet\n",
-        outcomes.len()
+        "recovered {} on-die ECC functions concurrently via RecoveryService\n",
+        codes.len()
     );
 
     println!("workload: {words} words, uniform-random raw errors at BER {ber:e}, 0xFF data\n");
 
     let mut most_skewed: Option<(Manufacturer, f64)> = None;
-    for (m, outcome) in Manufacturer::ALL.iter().zip(&outcomes) {
-        let report = outcome
-            .result
-            .as_ref()
-            .expect("analytic fleets cannot fail");
-        let code = code_from_outcome(&report.outcome).expect("vendor codes recover uniquely");
+    for (&(m, id), code) in jobs.iter().zip(&codes) {
+        let rounds = events
+            .iter()
+            .filter(|e| {
+                matches!(e, JobEvent::Progress { job, event: RecoveryEvent::CheckCompleted { .. } }
+                    if *job == id)
+            })
+            .count();
         let cfg = SimConfig {
             words,
             model: ErrorModel::UniformRandom { ber },
@@ -67,11 +82,9 @@ fn main() {
         let max = shares.iter().cloned().fold(0.0, f64::max);
         let skew = max / mean;
         println!(
-            "{} (({}, {}) code, recovered in {} round(s)):",
-            outcome.label,
+            "manufacturer {m} (({}, {}) code, recovered in {rounds} round(s)):",
             code.n(),
             code.k(),
-            report.stats.rounds
         );
         println!(
             "   miscorrected words: {} / {} with raw errors",
@@ -90,7 +103,7 @@ fn main() {
         let hot_bits: Vec<usize> = hot.iter().take(4).map(|&(b, _)| b).collect();
         println!("   skew (max/mean): {skew:.2}; most miscorrection-prone bits: {hot_bits:?}\n");
         if most_skewed.is_none_or(|(_, s)| skew > s) {
-            most_skewed = Some((*m, skew));
+            most_skewed = Some((m, skew));
         }
     }
 
@@ -103,4 +116,5 @@ fn main() {
              none of this structure would be visible."
         );
     }
+    Ok(())
 }

@@ -78,11 +78,10 @@ pub mod prelude {
     pub use beer_core::{
         run_session_guarded, solve_profile, try_collect_traced, try_collect_with, AnalyticBackend,
         BeerSolverOptions, BudgetReason, CancelToken, ChargedSet, ChipBackend, EinsimBackend,
-        EngineError, EngineOptions, FamilyCostEstimate, Fanout, Fingerprint, FleetMember,
-        FleetOutcome, MiscorrectionProfile, Observation, PatternSchedule, PatternSet,
-        ProfileConstraints, ProfileSource, ProfileTrace, RecoveryConfig, RecoveryError,
-        RecoveryEvent, RecoveryFleet, RecoveryOutcome, RecoveryReport, RecoverySession,
-        RecoveryStats, ReplayBackend, ScheduleCostModel, ScheduleCostReport, SessionHooks,
+        EngineError, EngineOptions, FamilyCostEstimate, Fanout, Fingerprint, MiscorrectionProfile,
+        Observation, PatternSchedule, PatternSet, ProfileConstraints, ProfileSource, ProfileTrace,
+        RecoveryConfig, RecoveryError, RecoveryEvent, RecoveryOutcome, RecoveryReport,
+        RecoverySession, RecoveryStats, ReplayBackend, ScheduleCostModel, ScheduleCostReport,
         SessionStatus, SolveReport, ThresholdFilter, TimedCostModel, TraceParseError,
         VerifiedTrace,
     };

@@ -1,5 +1,5 @@
 //! Semantics of the unified recovery session: deadline and cancellation,
-//! checkpoint → replay reproducibility, fleet determinism, and typed
+//! checkpoint → replay reproducibility, panic containment, and typed
 //! error propagation from the engine.
 
 use beer::prelude::*;
@@ -158,114 +158,6 @@ fn checkpoint_replay_reproduces_the_outcome_bit_identically() {
 }
 
 #[test]
-fn fleet_of_four_chips_equals_four_serial_sessions() {
-    let codes: Vec<_> = (0..4).map(|i| random_code(9, 0xF1EE_7000 + i)).collect();
-    let config = RecoveryConfig::new().with_chunked_schedule(4);
-
-    // Four serial sessions, one after another.
-    let serial: Vec<RecoveryReport> = codes
-        .iter()
-        .map(|code| {
-            let mut backend = AnalyticBackend::new(code.clone());
-            config
-                .session(&mut backend)
-                .run_to_completion()
-                .expect("analytic")
-        })
-        .collect();
-
-    // The same four chips as a concurrent fleet.
-    let members: Vec<FleetMember> = codes
-        .iter()
-        .enumerate()
-        .map(|(i, code)| {
-            FleetMember::new(
-                format!("chip-{i}"),
-                Box::new(AnalyticBackend::new(code.clone())),
-            )
-        })
-        .collect();
-    let outcomes = config.fleet().with_threads(4).run(members);
-
-    assert_eq!(outcomes.len(), 4);
-    for (i, (serial_report, fleet_outcome)) in serial.iter().zip(&outcomes).enumerate() {
-        assert_eq!(fleet_outcome.label, format!("chip-{i}"), "order lost");
-        let fleet_report = fleet_outcome.result.as_ref().expect("analytic");
-        let a = serial_report.outcome.unique_code().expect("serial unique");
-        let b = fleet_report.outcome.unique_code().expect("fleet unique");
-        assert_eq!(
-            a.parity_submatrix(),
-            b.parity_submatrix(),
-            "chip-{i}: fleet and serial recovered different codes"
-        );
-        assert!(equivalent(a, &codes[i]));
-        assert_eq!(serial_report.stats.rounds, fleet_report.stats.rounds);
-        assert_eq!(
-            serial_report.stats.facts_encoded,
-            fleet_report.stats.facts_encoded
-        );
-    }
-}
-
-/// A backend that panics on its first unit — a misbehaving fleet member.
-struct PanickyChip;
-
-impl ProfileSource for PanickyChip {
-    fn k(&self) -> usize {
-        9
-    }
-
-    fn label(&self) -> String {
-        "panicky".to_string()
-    }
-
-    fn num_units(&self, patterns: &[beer::core::ChargedSet], _plan: &CollectionPlan) -> usize {
-        patterns.len()
-    }
-
-    fn run_unit(
-        &mut self,
-        _unit: usize,
-        _patterns: &[beer::core::ChargedSet],
-        _plan: &CollectionPlan,
-        _profile: &mut MiscorrectionProfile,
-    ) -> Result<(), EngineError> {
-        panic!("fleet member blew up");
-    }
-}
-
-#[test]
-fn fleet_isolates_a_panicking_member() {
-    let code = random_code(9, 0xF1EE_8000);
-    let members = vec![
-        FleetMember::new("good", Box::new(AnalyticBackend::new(code.clone()))),
-        FleetMember::new("bad", Box::new(PanickyChip)),
-        FleetMember::new("good-too", Box::new(AnalyticBackend::new(code.clone()))),
-    ];
-    let outcomes = RecoveryConfig::new()
-        .with_chunked_schedule(4)
-        .fleet()
-        .with_threads(2)
-        .run(members);
-    assert_eq!(outcomes.len(), 3);
-    for idx in [0, 2] {
-        let report = outcomes[idx].result.as_ref().expect("healthy member");
-        assert!(
-            equivalent(report.outcome.unique_code().expect("unique"), &code),
-            "member {idx} must still recover despite the panicking sibling"
-        );
-    }
-    assert_eq!(outcomes[1].label, "bad");
-    match &outcomes[1].result {
-        Err(RecoveryError::Engine(EngineError::Backend { backend, message })) => {
-            assert!(backend.contains("bad"), "got {backend}");
-            assert_eq!(message, "fleet member blew up");
-        }
-        other => panic!("expected the member's panic as a typed error, got {other:?}"),
-    }
-}
-
-#[test]
 fn replay_exhaustion_surfaces_as_a_typed_engine_error() {
     // Record only the 1-CHARGED family of an ambiguous (k = 6, shortened)
     // code; a progressive session over the replay needs 2-CHARGED evidence
@@ -362,12 +254,10 @@ fn observer_sees_every_round_in_order() {
     );
 }
 
-/// A panic payload whose own `Drop` panics — the worst-case member
-/// failure. Before the poison-recovery fix, the second panic unwound out
-/// of the fleet worker after `catch_unwind`, poisoning the shared
-/// queue/slots mutexes and aborting the entire `fleet.run` (unrelated
-/// members included). Now it must surface as that one member's typed
-/// error.
+/// A panic payload whose own `Drop` panics — the worst-case backend
+/// failure. Dropping it after `catch_unwind` without a second guard would
+/// unwind out of the worker that ran the session, poisoning shared locks
+/// and killing that worker; it must surface as the session's typed error.
 struct VenomousPayload;
 
 impl Drop for VenomousPayload {
@@ -405,35 +295,63 @@ impl ProfileSource for VenomousBackend {
 }
 
 #[test]
-fn fleet_survives_a_member_whose_panic_payload_panics_on_drop() {
-    let code = random_code(8, 0x5E55_0009);
-    let members = vec![
-        FleetMember::new("healthy-0", Box::new(AnalyticBackend::new(code.clone()))),
-        FleetMember::new("venomous", Box::new(VenomousBackend)),
-        FleetMember::new("healthy-1", Box::new(AnalyticBackend::new(code.clone()))),
-    ];
-    let outcomes = RecoveryConfig::new()
-        .with_parity_bits(code.parity_bits())
-        .fleet()
-        .with_threads(2)
-        .run(members);
-
-    assert_eq!(outcomes.len(), 3, "every member reports, in member order");
-    for (i, expected) in ["healthy-0", "venomous", "healthy-1"].iter().enumerate() {
-        assert_eq!(&outcomes[i].label, expected);
-    }
-    // The poisoned member fails typed, attributed to itself.
-    match &outcomes[1].result {
+fn guarded_session_contains_a_panic_payload_that_panics_on_drop() {
+    let result = run_session_guarded(
+        &RecoveryConfig::new(),
+        "chip 7 (venomous)",
+        &mut VenomousBackend,
+        CancelToken::new(),
+        |_| {},
+    );
+    match result {
         Err(RecoveryError::Engine(EngineError::Backend { backend, message })) => {
+            assert_eq!(
+                backend, "chip 7 (venomous)",
+                "attributed to the passed label"
+            );
+            assert_eq!(message, "non-string panic payload");
+        }
+        other => panic!("expected the session's typed error, got {other:?}"),
+    }
+}
+
+#[test]
+fn service_worker_survives_a_job_whose_panic_payload_panics_on_drop() {
+    let code = random_code(8, 0x5E55_0009);
+    let trace = ProfileTrace::record(
+        &mut AnalyticBackend::new(code.clone()),
+        &PatternSet::OneTwo.patterns(code.k()),
+        &CollectionPlan::quick(),
+    );
+    // One worker: the healthy job can only finish if the worker that ran
+    // the venomous job is still alive.
+    let service =
+        RecoveryService::start(ServiceConfig::new().with_workers(1)).expect("valid config");
+    let venomous = service
+        .submit(JobRequest::source(
+            "lab",
+            "venomous",
+            Box::new(VenomousBackend),
+        ))
+        .expect("admitted");
+    let healthy = service
+        .submit(JobRequest::trace("lab", trace))
+        .expect("admitted");
+
+    match service.wait(venomous) {
+        Err(JobError::Recovery(RecoveryError::Engine(EngineError::Backend {
+            backend,
+            message,
+        }))) => {
             assert!(backend.contains("venomous"), "got {backend:?}");
             assert_eq!(message, "non-string panic payload");
         }
-        other => panic!("expected the member's typed error, got {other:?}"),
+        other => panic!("expected the job's typed failure, got {other:?}"),
     }
-    // Unrelated members complete normally.
-    for i in [0, 2] {
-        let report = outcomes[i].result.as_ref().expect("healthy member");
-        let recovered = report.outcome.unique_code().expect("unique");
-        assert!(equivalent(recovered, &code), "member {i}");
-    }
+    assert_eq!(service.status(venomous), Some(JobState::Failed));
+    let output = service.wait(healthy).expect("the worker survived");
+    assert_eq!(service.status(healthy), Some(JobState::Done));
+    let recovered = output.outcome.unique_code().expect("unique");
+    assert!(equivalent(recovered, &code));
+    service.shutdown();
 }
