@@ -293,3 +293,86 @@ fn soak_240_mixed_jobs() {
     let _ = std::fs::remove_file(&registry_path);
     let _ = std::fs::remove_dir_all(&registry_path);
 }
+
+/// Sixty-four submitters share one service and draw traces from a small
+/// pool of distinct profiles (the "manufacturers reuse a few ECC
+/// functions" scenario): every duplicate is coalesced onto the in-flight
+/// solve or answered from the registry cache, so each profile is solved
+/// exactly once. Cache lookup, coalescing and completion all change
+/// under the service's state lock, which is what makes the count exact.
+#[test]
+fn sixty_four_submitters_solve_each_distinct_profile_once() {
+    const DEDUP_SUBMITTERS: usize = 64;
+    const DEDUP_JOBS_EACH: usize = 24;
+    const DEDUP_POOL: usize = 8;
+    // Every job stays retained (the service keeps the newest 4096
+    // terminal jobs), so each id below still answers `wait`.
+    const _: () = assert!(DEDUP_SUBMITTERS * DEDUP_JOBS_EACH + DEDUP_POOL < 4096);
+
+    let codes = distinct_codes(DEDUP_POOL, 0x5EE7);
+    let traces: Arc<Vec<ProfileTrace>> = Arc::new(codes.iter().map(record_trace).collect());
+    let codes = Arc::new(codes);
+    let service = Arc::new(
+        RecoveryService::start(ServiceConfig::new().with_workers(4)).expect("start service"),
+    );
+
+    let submitters: Vec<_> = (0..DEDUP_SUBMITTERS)
+        .map(|s| {
+            let service = Arc::clone(&service);
+            let codes = Arc::clone(&codes);
+            let traces = Arc::clone(&traces);
+            std::thread::spawn(move || {
+                let tenant = format!("tenant-{s}");
+                let ids: Vec<(usize, JobId)> = (0..DEDUP_JOBS_EACH)
+                    .map(|j| {
+                        let which = (s + j) % DEDUP_POOL;
+                        let request = JobRequest::trace(&tenant, traces[which].clone());
+                        (which, service.submit(request).expect("admitted"))
+                    })
+                    .collect();
+                for (which, id) in ids {
+                    let output = service.wait(id).unwrap_or_else(|e| panic!("job {id}: {e}"));
+                    let code = output.outcome.unique_code().expect("unique recovery");
+                    assert!(
+                        equivalent(code, &codes[which]),
+                        "job {id} disagrees with profiled code {which}"
+                    );
+                }
+            })
+        })
+        .collect();
+    for submitter in submitters {
+        submitter.join().expect("submitter thread");
+    }
+
+    let stats = service.stats();
+    assert_eq!(
+        stats.submitted,
+        (DEDUP_SUBMITTERS * DEDUP_JOBS_EACH) as u64,
+        "{stats:?}"
+    );
+    assert_eq!(stats.failed + stats.cancelled, 0, "{stats:?}");
+    assert_eq!(
+        stats.completed - stats.coalesced - stats.cache_hits,
+        DEDUP_POOL as u64,
+        "one solve per distinct profile: {stats:?}"
+    );
+
+    // The warm service answers every profile from its registry.
+    for (which, trace) in traces.iter().enumerate() {
+        let id = service
+            .submit(JobRequest::trace("prober", trace.clone()))
+            .expect("admitted");
+        let output = service.wait(id).expect("cache answers");
+        assert!(
+            output.from_cache,
+            "profile {which} was not answered from cache"
+        );
+        let code = output.outcome.unique_code().expect("unique recovery");
+        assert!(equivalent(code, &codes[which]));
+    }
+    assert_eq!(
+        service.stats().cache_hits,
+        stats.cache_hits + DEDUP_POOL as u64
+    );
+}
