@@ -62,17 +62,6 @@ impl RetentionModel {
         }
     }
 
-    /// A model with explicit log-normal parameters (ln-seconds at
-    /// `reference_celsius`).
-    pub fn with_parameters(chip_seed: u64, mu: f64, sigma: f64, reference_celsius: f64) -> Self {
-        RetentionModel {
-            chip_seed,
-            mu,
-            sigma,
-            reference_celsius,
-        }
-    }
-
     /// The temperature-scaled effective refresh window: retention time
     /// halves every +10 °C, so the window effectively doubles.
     pub fn effective_window(&self, trefw_seconds: f64, celsius: f64) -> f64 {

@@ -278,15 +278,6 @@ impl LinearCode {
         s
     }
 
-    /// Syndrome of a sparse error pattern given by codeword positions.
-    pub fn syndrome_of_error_positions(&self, positions: &[usize]) -> SynMask {
-        let mut s = SynMask::zero(self.parity_bits());
-        for &pos in positions {
-            s ^= self.column(pos);
-        }
-        s
-    }
-
     /// Decodes a received codeword (`Fdecode` of Figure 2): syndrome
     /// decoding with single-bit correction, exactly the externally-visible
     /// behaviour of on-die ECC (§3.3). The decoder is unaware of the true

@@ -120,14 +120,6 @@ impl PerBitStats {
         }
         self.total_pre_errors() as f64 / (self.words as f64 * self.n as f64)
     }
-
-    /// Post-correction bit error rate over the data bits.
-    pub fn post_ber(&self) -> f64 {
-        if self.words == 0 {
-            return 0.0;
-        }
-        self.total_post_errors() as f64 / (self.words as f64 * self.k as f64)
-    }
 }
 
 /// Appends positions drawn by geometric gap sampling: each of `limit`

@@ -25,39 +25,35 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Read deadline per response frame.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
+/// Write deadline per request frame.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Reconnect backoff ceiling (the `cap` of [`backoff_delay`]).
+const RECONNECT_BACKOFF_CAP: Duration = Duration::from_secs(2);
+
 /// Configuration of a [`Client`].
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
-    /// Read deadline per response frame.
-    pub read_timeout: Duration,
-    /// Write deadline per request frame.
-    pub write_timeout: Duration,
-    /// Frame size cap, enforced before allocation.
-    pub max_frame_bytes: usize,
     /// Trace upload chunk size.
     pub chunk_bytes: usize,
     /// Reconnect attempts after a dropped connection (each attempt
     /// re-submits by fingerprint and resumes the coalesced job).
     pub reconnect_attempts: usize,
     /// First-attempt backoff. Attempt `n` waits a jittered exponential
-    /// delay in `[e/2, e]` where `e = min(cap, base × 2^(n−1))` — see
-    /// [`backoff_delay`]. The jitter spreads a herd of clients resuming
-    /// against a restarted node instead of stampeding it.
+    /// delay in `[e/2, e]` where `e = min(cap, base × 2^(n−1))` and the
+    /// cap is 2 s — see [`backoff_delay`]. The jitter spreads a herd of
+    /// clients resuming against a restarted node instead of stampeding
+    /// it.
     pub reconnect_backoff_base: Duration,
-    /// Backoff ceiling (the `cap` above).
-    pub reconnect_backoff_cap: Duration,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            read_timeout: Duration::from_secs(60),
-            write_timeout: Duration::from_secs(10),
-            max_frame_bytes: wire::DEFAULT_MAX_FRAME_BYTES,
             chunk_bytes: wire::DEFAULT_CHUNK_BYTES,
             reconnect_attempts: 3,
             reconnect_backoff_base: Duration::from_millis(10),
-            reconnect_backoff_cap: Duration::from_secs(2),
         }
     }
 }
@@ -66,12 +62,6 @@ impl ClientConfig {
     /// The default configuration (see the field docs).
     pub fn new() -> Self {
         ClientConfig::default()
-    }
-
-    /// Overrides the per-frame read deadline.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
-        self
     }
 
     /// Overrides the upload chunk size.
@@ -274,7 +264,7 @@ impl Client {
         std::thread::sleep(backoff_delay(
             attempt.min(u32::MAX as usize) as u32,
             self.config.reconnect_backoff_base,
-            self.config.reconnect_backoff_cap,
+            RECONNECT_BACKOFF_CAP,
             self.rng,
         ));
     }
@@ -284,8 +274,8 @@ impl Client {
         self.stream = None;
         let stream = TcpStream::connect(&self.addr)?;
         let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(self.config.read_timeout))?;
-        stream.set_write_timeout(Some(self.config.write_timeout))?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         self.stream = Some(stream);
         let hello = Message::Hello {
             min_version: wire::WIRE_VERSION,
@@ -332,18 +322,17 @@ impl Client {
         Ok(())
     }
 
-    /// Sends a request and reads the next frame, with no reconnection.
-    /// Asynchronous `RingChanged` pushes are adopted and skipped — any
-    /// frame may be preceded by one on a cluster connection.
-    fn roundtrip_raw(&mut self, request: &Message) -> Result<Message, ClientError> {
-        let max_frame = self.config.max_frame_bytes;
-        self.write_or_drop(request)?;
+    /// Reads the next frame after a successful write. Asynchronous
+    /// `RingChanged` pushes are adopted and skipped — any frame may be
+    /// preceded by one on a cluster connection. A closed or failed
+    /// transport drops the connection.
+    fn read_frame(&mut self) -> Result<Message, ClientError> {
         loop {
             let stream = self
                 .stream
                 .as_mut()
                 .expect("write_or_drop keeps the stream on success");
-            match read_message(stream, max_frame) {
+            match read_message(stream, wire::DEFAULT_MAX_FRAME_BYTES) {
                 Ok(Message::RingChanged { ring }) => self.adopt_ring(ring),
                 Ok(message) => return Ok(message),
                 Err(RecvError::Closed) => {
@@ -357,6 +346,12 @@ impl Client {
                 Err(RecvError::Frame(e)) => return Err(ClientError::Wire(e)),
             }
         }
+    }
+
+    /// Sends a request and reads the next frame, with no reconnection.
+    fn roundtrip_raw(&mut self, request: &Message) -> Result<Message, ClientError> {
+        self.write_or_drop(request)?;
+        self.read_frame()
     }
 
     /// Sends a request and reads the next frame, reconnecting (with the
@@ -417,9 +412,7 @@ impl Client {
             total_chunks: chunks.len() as u32,
             total_bytes,
         };
-        let max_frame = self.config.max_frame_bytes;
         self.write_or_drop(&begin)?;
-        let last = chunks.len() - 1;
         for (index, data) in chunks.into_iter().enumerate() {
             let chunk = Message::TraceChunk {
                 fingerprint,
@@ -427,41 +420,15 @@ impl Client {
                 data,
             };
             self.write_or_drop(&chunk)?;
-            if index == last {
-                // Only the final chunk is acknowledged.
-                loop {
-                    let stream = self
-                        .stream
-                        .as_mut()
-                        .expect("write_or_drop keeps the stream");
-                    match read_message(stream, max_frame) {
-                        Ok(Message::TraceAck { fingerprint: fp }) if fp == fingerprint => break,
-                        Ok(Message::RingChanged { ring }) => {
-                            self.adopt_ring(ring);
-                            continue;
-                        }
-                        Ok(Message::Error { kind, detail }) => {
-                            return Err(ClientError::Refused { kind, detail })
-                        }
-                        Ok(_) => {
-                            return Err(ClientError::Protocol {
-                                expected: "TraceAck",
-                            })
-                        }
-                        Err(RecvError::Frame(e)) => return Err(ClientError::Wire(e)),
-                        Err(RecvError::Closed) => {
-                            self.stream = None;
-                            return Err(ClientError::Disconnected);
-                        }
-                        Err(RecvError::Io(e)) => {
-                            self.stream = None;
-                            return Err(ClientError::Io(e));
-                        }
-                    }
-                }
-            }
         }
-        Ok(())
+        // Only the final chunk is acknowledged.
+        match self.read_frame()? {
+            Message::TraceAck { fingerprint: fp } if fp == fingerprint => Ok(()),
+            Message::Error { kind, detail } => Err(ClientError::Refused { kind, detail }),
+            _ => Err(ClientError::Protocol {
+                expected: "TraceAck",
+            }),
+        }
     }
 
     /// Submits a trace with default priority and no deadline.
@@ -563,41 +530,18 @@ impl Client {
             epoch,
             trace_id,
         };
-        let mut uploaded = false;
-        loop {
-            match self.roundtrip(&submit)? {
-                Message::SubmitAck { job } => {
-                    return Ok(RemoteJob {
-                        id: job,
-                        fingerprint,
-                        priority,
-                        deadline,
-                        trace_id,
-                    })
-                }
-                Message::Error {
-                    kind: ErrorKind::UnknownFingerprint { .. },
-                    ..
-                } if !uploaded => {
-                    self.upload(fingerprint)?;
-                    uploaded = true;
-                }
-                Message::Error { kind, detail } => {
-                    return Err(ClientError::Refused { kind, detail })
-                }
-                _ => {
-                    return Err(ClientError::Protocol {
-                        expected: "SubmitAck",
-                    })
-                }
-            }
-        }
+        Ok(RemoteJob {
+            id: self.submit_frame(fingerprint, &submit)?,
+            fingerprint,
+            priority,
+            deadline,
+            trace_id,
+        })
     }
 
-    /// Submits by fingerprint, uploading the retained trace when the
-    /// server asks for it. The caller mints `trace_id` — the submission
-    /// end of the trace — so the id exists before the frame leaves this
-    /// process.
+    /// Submits by fingerprint (see [`Client::submit_frame`]). The caller
+    /// mints `trace_id` — the submission end of the trace — so the id
+    /// exists before the frame leaves this process.
     fn submit_fingerprint(
         &mut self,
         fingerprint: Fingerprint,
@@ -611,18 +555,27 @@ impl Client {
             deadline_ms: deadline.map(|d| d.as_millis() as u64),
             trace_id: Some(trace_id),
         };
+        Ok(RemoteJob {
+            id: self.submit_frame(fingerprint, &submit)?,
+            fingerprint,
+            priority,
+            deadline,
+            trace_id,
+        })
+    }
+
+    /// Sends a submit frame for `fingerprint`, uploading the retained
+    /// trace once when the server asks for it, and returns the server's
+    /// job id.
+    fn submit_frame(
+        &mut self,
+        fingerprint: Fingerprint,
+        submit: &Message,
+    ) -> Result<u64, ClientError> {
         let mut uploaded = false;
         loop {
-            match self.roundtrip(&submit)? {
-                Message::SubmitAck { job } => {
-                    return Ok(RemoteJob {
-                        id: job,
-                        fingerprint,
-                        priority,
-                        deadline,
-                        trace_id,
-                    })
-                }
+            match self.roundtrip(submit)? {
+                Message::SubmitAck { job } => return Ok(job),
                 Message::Error {
                     kind: ErrorKind::UnknownFingerprint { .. },
                     ..
@@ -718,35 +671,20 @@ impl Client {
         job: RemoteJob,
         on_event: &mut impl FnMut(&WireEvent),
     ) -> Result<WireResult, ClientError> {
-        let max_frame = self.config.max_frame_bytes;
         self.write_or_drop(&Message::Watch { job: job.id })?;
         loop {
-            let stream = self
-                .stream
-                .as_mut()
-                .expect("write_or_drop keeps the stream");
-            match read_message(stream, max_frame) {
-                Ok(Message::Event { event, .. }) => on_event(&event),
-                Ok(Message::RingChanged { ring }) => self.adopt_ring(ring),
-                Ok(Message::Done { result, .. }) => return Ok(result),
-                Ok(Message::Error { kind, detail }) => {
+            match self.read_frame()? {
+                Message::Event { event, .. } => on_event(&event),
+                Message::Done { result, .. } => return Ok(result),
+                Message::Error { kind, detail } => {
                     return Err(ClientError::Refused { kind, detail })
                 }
-                Ok(Message::Bye) => {
+                Message::Bye => {
                     // Server drain closed the stream mid-watch.
                     self.stream = None;
                     return Err(ClientError::Disconnected);
                 }
-                Ok(_) => return Err(ClientError::Protocol { expected: "Event" }),
-                Err(RecvError::Frame(e)) => return Err(ClientError::Wire(e)),
-                Err(RecvError::Closed) => {
-                    self.stream = None;
-                    return Err(ClientError::Disconnected);
-                }
-                Err(RecvError::Io(e)) => {
-                    self.stream = None;
-                    return Err(ClientError::Io(e));
-                }
+                _ => return Err(ClientError::Protocol { expected: "Event" }),
             }
         }
     }

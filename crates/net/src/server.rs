@@ -81,21 +81,16 @@ pub struct ClusterConfig {
     pub peer_tenant: String,
     /// Auth token for `peer_tenant` (empty for open services).
     pub peer_token: String,
-    /// Forwarder threads relaying misrouted submissions to their
-    /// owners. Each proxied job occupies one forwarder for its
-    /// lifetime, so this bounds concurrent cross-node proxying.
-    pub forwarders: usize,
 }
 
 impl ClusterConfig {
     /// Cluster settings for the named ring member, with the default
-    /// peer tenant (`"cluster"`, empty token) and 2 forwarders.
+    /// peer tenant (`"cluster"`, empty token).
     pub fn new(member: impl Into<String>) -> Self {
         ClusterConfig {
             member: member.into(),
             peer_tenant: "cluster".to_string(),
             peer_token: String::new(),
-            forwarders: 2,
         }
     }
 
@@ -103,12 +98,6 @@ impl ClusterConfig {
     pub fn with_peer_auth(mut self, tenant: impl Into<String>, token: impl Into<String>) -> Self {
         self.peer_tenant = tenant.into();
         self.peer_token = token.into();
-        self
-    }
-
-    /// Overrides the forwarder thread count (minimum 1).
-    pub fn with_forwarders(mut self, forwarders: usize) -> Self {
-        self.forwarders = forwarders.max(1);
         self
     }
 }
@@ -120,22 +109,8 @@ pub struct NetServerConfig {
     /// typed [`ErrorKind::Busy`] frame and a clean close (never a
     /// silently dropped socket).
     pub max_connections: usize,
-    /// Per-connection read deadline: an idle peer with nothing in
-    /// flight (no watch, no pending writes) is disconnected after this
-    /// long without a frame.
-    pub read_timeout: Duration,
-    /// Per-connection write deadline: a peer that stops draining its
-    /// socket is disconnected once its write queue has been blocked
-    /// this long.
-    pub write_timeout: Duration,
-    /// Frame size cap, enforced before allocation.
-    pub max_frame_bytes: usize,
     /// Total size cap for one chunked trace upload.
     pub max_trace_bytes: u64,
-    /// Uploaded traces retained for submit-by-fingerprint, shared across
-    /// connections (FIFO eviction). Reconnecting clients re-attach to
-    /// in-flight work without re-uploading while their trace is retained.
-    pub upload_capacity: usize,
     /// Bound on one connection's queued-but-unflushed reply bytes. Past
     /// it the queue is dropped, a typed [`ErrorKind::Busy`] goes out,
     /// and the connection closes — a slow reader can stall only itself.
@@ -155,11 +130,7 @@ impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
             max_connections: 128,
-            read_timeout: Duration::from_secs(60),
-            write_timeout: Duration::from_secs(10),
-            max_frame_bytes: wire::DEFAULT_MAX_FRAME_BYTES,
             max_trace_bytes: 16 << 20,
-            upload_capacity: 1024,
             max_write_buffer: 1 << 20,
             max_query_entries: 256,
             server_name: "beer_net".to_string(),
@@ -177,24 +148,6 @@ impl NetServerConfig {
     /// Overrides the connection limit.
     pub fn with_max_connections(mut self, max: usize) -> Self {
         self.max_connections = max;
-        self
-    }
-
-    /// Overrides the per-connection read deadline.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Overrides the per-connection write deadline.
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
-
-    /// Overrides the frame size cap.
-    pub fn with_max_frame_bytes(mut self, max: usize) -> Self {
-        self.max_frame_bytes = max;
         self
     }
 
@@ -305,6 +258,10 @@ impl Shared {
 // Cluster forwarding
 // ---------------------------------------------------------------------------
 
+/// Forwarder threads relaying misrouted submissions to their owners.
+/// Each proxied job occupies one forwarder for its lifetime, so this
+/// bounds concurrent cross-node proxying.
+const FORWARDERS: usize = 2;
 /// Forward tasks one reactor may queue before answering typed Busy.
 const MAX_PENDING_FORWARDS: usize = 1024;
 /// Pooled idle peer clients kept per owner address.
@@ -593,7 +550,7 @@ impl NetServer {
             // Detached: a forwarder blocked on a long remote job must not
             // stall shutdown; it holds only the hub and the wake hub, so
             // it cannot pin the service (or this server) alive.
-            for i in 0..hub.cluster.forwarders.max(1) {
+            for i in 0..FORWARDERS {
                 let hub = Arc::clone(&hub);
                 let _ = std::thread::Builder::new()
                     .name(format!("beer-net-forwarder-{i}"))
@@ -606,7 +563,7 @@ impl NetServer {
             uploads: Mutex::new(Uploads {
                 by_fingerprint: HashMap::new(),
                 order: VecDeque::new(),
-                capacity: config.upload_capacity,
+                capacity: UPLOAD_CAPACITY,
             }),
             config,
             draining: AtomicBool::new(false),
@@ -733,6 +690,20 @@ impl Drop for NetServer {
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKER: u64 = u64::MAX - 1;
 
+/// Per-connection read deadline: an idle peer with nothing in flight
+/// (no watch, no pending writes) is disconnected after this long
+/// without a frame.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
+/// Per-connection write deadline: a peer that stops draining its socket
+/// is disconnected once its write queue has been blocked this long.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Uploaded traces retained for submit-by-fingerprint, shared across
+/// connections (FIFO eviction). Reconnecting clients re-attach to
+/// in-flight work without re-uploading while their trace is retained.
+const UPLOAD_CAPACITY: usize = 1024;
+/// Read-buffer ceiling: one frame at the wire's size cap plus headroom
+/// (a larger declared frame is refused before then).
+const READ_BUFFER_CAP: usize = wire::DEFAULT_MAX_FRAME_BYTES + 4 + (64 << 10);
 /// Read-budget per connection per readiness event, for fairness.
 const READ_BUDGET: usize = 256 << 10;
 /// Frames gathered into one `write_vectored` call.
@@ -947,14 +918,14 @@ impl Conn {
     }
 
     /// Reads available bytes into the pooled buffer, up to the fairness
-    /// budget and the buffer cap (a frame-and-a-bit; a larger declared
-    /// frame is refused as [`WireError::FrameTooLarge`] before then).
-    fn fill(&mut self, config: &NetServerConfig) -> io::Result<()> {
-        let cap = config.max_frame_bytes + 4 + (64 << 10);
+    /// budget and [`READ_BUFFER_CAP`] (a frame-and-a-bit; a larger
+    /// declared frame is refused as [`WireError::FrameTooLarge`] before
+    /// then).
+    fn fill(&mut self) -> io::Result<()> {
         let mut budget = READ_BUDGET;
-        while budget > 0 && !self.peer_eof && self.rbuf.len() < cap {
+        while budget > 0 && !self.peer_eof && self.rbuf.len() < READ_BUFFER_CAP {
             let old = self.rbuf.len();
-            let want = (cap - old).min(16 << 10).min(budget);
+            let want = (READ_BUFFER_CAP - old).min(16 << 10).min(budget);
             self.rbuf.resize(old + want, 0);
             match self.stream.read(&mut self.rbuf[old..]) {
                 Ok(0) => {
@@ -983,10 +954,9 @@ impl Conn {
     }
 
     /// The epoll interest this connection's state wants right now.
-    fn desired_interest(&self, config: &NetServerConfig) -> u32 {
+    fn desired_interest(&self) -> u32 {
         let mut bits = EPOLLRDHUP;
-        let cap = config.max_frame_bytes + 4 + (64 << 10);
-        if !self.peer_eof && self.rbuf.len() < cap {
+        if !self.peer_eof && self.rbuf.len() < READ_BUFFER_CAP {
             bits |= EPOLLIN;
         }
         if !self.outbox.is_empty() {
@@ -1139,10 +1109,7 @@ impl Reactor {
             if ev.writable() && conn.flush(&mut self.pool).is_err() {
                 conn.dead = true;
             }
-            if !conn.dead
-                && (ev.readable() || ev.closed())
-                && conn.fill(&self.shared.config).is_err()
-            {
+            if !conn.dead && (ev.readable() || ev.closed()) && conn.fill().is_err() {
                 conn.dead = true;
             }
         }
@@ -1265,11 +1232,11 @@ impl Reactor {
                     .try_into()
                     .expect("4 bytes"),
             ) as usize;
-            if declared > shared.config.max_frame_bytes {
+            if declared > wire::DEFAULT_MAX_FRAME_BYTES {
                 // Refused before any buffering, mirroring read_message.
                 let e = WireError::FrameTooLarge {
                     len: declared as u64,
-                    limit: shared.config.max_frame_bytes as u64,
+                    limit: wire::DEFAULT_MAX_FRAME_BYTES as u64,
                 };
                 conn.queue_error(pool, &shared.config, ErrorKind::BadRequest, e.to_string());
                 conn.close_after_flush = true;
@@ -1322,7 +1289,7 @@ impl Reactor {
             self.close_conn(idx);
             return;
         }
-        let desired = conn.desired_interest(&self.shared.config);
+        let desired = conn.desired_interest();
         if desired != conn.interest
             && self
                 .poller
@@ -1362,13 +1329,13 @@ impl Reactor {
             };
             let stalled = conn
                 .blocked_since
-                .is_some_and(|since| since.elapsed() >= self.shared.config.write_timeout);
+                .is_some_and(|since| since.elapsed() >= WRITE_TIMEOUT);
             let idle = conn.watch.is_none()
                 // A forwarded job legitimately carries no local traffic
                 // while the owning node solves it.
                 && conn.forwarded.is_empty()
                 && conn.outbox.is_empty()
-                && conn.last_activity.elapsed() >= self.shared.config.read_timeout;
+                && conn.last_activity.elapsed() >= READ_TIMEOUT;
             if stalled || idle {
                 self.close_conn(idx);
             }

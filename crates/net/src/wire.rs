@@ -30,9 +30,9 @@ use std::io::{self, Read, Write};
 pub const WIRE_VERSION: u16 = 7;
 /// Magic bytes opening every [`Message::Hello`] payload.
 pub const WIRE_MAGIC: [u8; 4] = *b"BEER";
-/// Default per-frame size cap. Large traces cross the wire as
-/// [`Message::TraceChunk`]s well under this, so a frame this large is a
-/// protocol violation, not a workload.
+/// Per-frame size cap that client and server enforce before allocating.
+/// Large traces cross the wire as [`Message::TraceChunk`]s well under
+/// this, so a frame this large is a protocol violation, not a workload.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 4 << 20;
 /// Default chunk size for trace uploads — comfortably under any frame cap.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 << 10;

@@ -56,8 +56,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! See `DESIGN.md` §"The recovery service" for the architecture and
-//! `EXPERIMENTS.md` for the `service_throughput` methodology.
+//! See `DESIGN.md` §"The recovery service" for the architecture.
 
 mod job;
 mod queue;

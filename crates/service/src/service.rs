@@ -149,11 +149,6 @@ pub struct ServiceConfig {
     pub compact_budget: usize,
     /// Size (bytes) at which the registry's active log segment seals.
     pub registry_seal_bytes: u64,
-    /// How many *terminal* jobs to retain in memory for `status`/`wait`/
-    /// `result` queries; older terminal jobs are evicted (their ids then
-    /// answer [`JobError::Unknown`](crate::JobError::Unknown)), bounding
-    /// memory in a long-running service. `0` retains everything.
-    pub retained_jobs: usize,
     /// The recovery pipeline configuration every job runs under. Trace
     /// jobs replay against this schedule, so submitted traces must cover
     /// the patterns it requests (record them over the same schedule).
@@ -188,7 +183,6 @@ impl Default for ServiceConfig {
             compact_after: 4096,
             compact_budget: 6,
             registry_seal_bytes: crate::registry::DEFAULT_SEAL_BYTES,
-            retained_jobs: 4096,
             recovery: RecoveryConfig::new(),
             tenants: None,
             observability: true,
@@ -241,12 +235,6 @@ impl ServiceConfig {
     /// Overrides the active-log seal threshold (bytes).
     pub fn with_registry_seal_bytes(mut self, bytes: u64) -> Self {
         self.registry_seal_bytes = bytes;
-        self
-    }
-
-    /// Overrides the terminal-job retention bound (`0` = retain all).
-    pub fn with_retained_jobs(mut self, retained: usize) -> Self {
-        self.retained_jobs = retained;
         self
     }
 
@@ -625,6 +613,12 @@ struct Job {
     events: Fanout<JobEvent>,
 }
 
+/// How many *terminal* jobs stay in memory for `status`/`wait`/`result`
+/// queries; older terminal jobs are evicted (their ids then answer
+/// [`JobError::Unknown`](crate::JobError::Unknown)), bounding memory in
+/// a long-running service.
+const RETAINED_JOBS: usize = 4096;
+
 struct State {
     scheduler: FairScheduler<JobId>,
     jobs: HashMap<JobId, Job>,
@@ -650,7 +644,6 @@ struct Inner {
     max_patterns: usize,
     compact_after: usize,
     compact_budget: usize,
-    retained_jobs: usize,
     /// `Some` = closed tenant set with auth tokens; `None` = open.
     tenants: Option<HashMap<String, String>>,
     obs: Arc<ServiceObs>,
@@ -700,7 +693,6 @@ impl RecoveryService {
             max_patterns: config.max_patterns,
             compact_after: config.compact_after,
             compact_budget: config.compact_budget,
-            retained_jobs: config.retained_jobs,
             tenants: config.tenants,
             obs,
         });
@@ -1101,18 +1093,6 @@ impl RecoveryService {
         (state.registry.record_count(), state.registry.code_count())
     }
 
-    /// Forces a registry snapshot/compaction now.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; the previous log stays intact on failure.
-    pub fn compact_registry(&self) -> io::Result<()> {
-        let mut state = lock_unpoisoned(&self.inner.state);
-        let compacted = state.registry.compact();
-        self.inner.obs.publish_registry(&state.registry);
-        compacted
-    }
-
     /// Blocks until the service is *idle* — nothing queued and nothing
     /// running — or `timeout` elapses; returns `true` when idle was
     /// reached. Driven by the same condvar that resolves
@@ -1307,15 +1287,13 @@ impl Inner {
                 self.finalize(state, waiter, new_state, shared);
             }
         }
-        // Bounded retention: evict the oldest terminal jobs beyond the
-        // configured window so a long-running service does not accumulate
+        // Bounded retention: evict the oldest terminal jobs beyond
+        // `RETAINED_JOBS` so a long-running service does not accumulate
         // every job ever submitted.
         state.terminal_order.push_back(id);
-        if self.retained_jobs > 0 {
-            while state.terminal_order.len() > self.retained_jobs {
-                let evicted = state.terminal_order.pop_front().expect("len checked above");
-                state.jobs.remove(&evicted);
-            }
+        while state.terminal_order.len() > RETAINED_JOBS {
+            let evicted = state.terminal_order.pop_front().expect("len checked above");
+            state.jobs.remove(&evicted);
         }
         self.finished.notify_all();
     }

@@ -248,11 +248,6 @@ impl MemController {
         self.params.cycles_to_ns(self.now)
     }
 
-    /// Simulated time elapsed since power-up, in seconds.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.params.cycles_to_seconds(self.now)
-    }
-
     /// Total cycles spent with refresh paused so far.
     pub fn refresh_paused_cycles(&self) -> u64 {
         self.refresh_paused_cycles
@@ -520,11 +515,6 @@ impl MemController {
             self.stats.stall_cycles += self.data_busy_until - self.now;
             self.now = self.data_busy_until;
         }
-    }
-
-    /// True while a refresh pause is in progress.
-    pub fn refresh_paused(&self) -> bool {
-        self.pause_started.is_some()
     }
 
     /// True if `bank` has an open row.
