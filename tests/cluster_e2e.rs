@@ -4,7 +4,9 @@
 //! `WrongNode` (never forwarded again — the loop guard), a client with
 //! a stale ring follows the typed redirect and lands exactly one job,
 //! and duplicate submissions from clients on *different* nodes coalesce
-//! onto one solve with both receiving the terminal result.
+//! onto one solve with both receiving the terminal result. One
+//! connection may hold local and proxied jobs at once, and each id
+//! answers with its own profile's result.
 
 use beer::cluster::{Cluster, ClusterClient};
 use beer::net::{Client, ClientError, ErrorKind, Ring, RingMember};
@@ -264,5 +266,42 @@ fn cross_node_duplicate_coalesces_to_one_solve() {
     );
     assert_eq!(proxy.submitted, 0);
     assert_eq!(proxy.forwarded_jobs, 1);
+    cluster.shutdown(Duration::from_secs(2));
+}
+
+/// One connection, two kinds of job: a client on node-1 submits a
+/// profile node-1 owns (solved locally) and a staged profile node-0
+/// owns (proxied). The two acks must name different jobs, and each wait
+/// must return its own profile's code — a proxied job's id can never
+/// alias a local one on the same connection.
+#[test]
+fn local_and_proxied_jobs_on_one_connection_keep_their_own_results() {
+    let cluster = two_node_cluster();
+    let local = trace_owned_by(cluster.ring(), "node-1");
+    let proxied = trace_owned_by(cluster.ring(), "node-0");
+
+    let mut client = Client::connect(cluster.addrs()[1].clone(), "alice", "").expect("connect");
+    let local_job = client.submit(&local).expect("local submit acks");
+    client.upload_trace(&proxied).expect("stage on non-owner");
+    let proxied_job = client.submit(&proxied).expect("forwarded submit acks");
+    let local_code = unique_code(client.wait(local_job).expect("local watch completes"));
+    let proxied_code = unique_code(client.wait(proxied_job).expect("proxied watch completes"));
+    for (node, trace, code) in [(1, &local, &local_code), (0, &proxied, &proxied_code)] {
+        let record = cluster.nodes()[node]
+            .service()
+            .lookup_fingerprint(trace.fingerprint())
+            .expect("the owner's registry holds the fingerprint");
+        match record.outcome {
+            CodeOutcome::Unique(owned) => assert!(
+                equivalent(code, &owned),
+                "a wait on node-{node}'s job returned another profile's code"
+            ),
+            other => panic!("expected a unique registry record, got {other:?}"),
+        }
+    }
+    assert_ne!(
+        local_job.id, proxied_job.id,
+        "a proxied job must not share an id with a local job on one connection"
+    );
     cluster.shutdown(Duration::from_secs(2));
 }
