@@ -141,9 +141,11 @@ impl Cluster {
         Cluster::launch_with(services, NetServerConfig::new(), DEFAULT_VNODES)
     }
 
-    /// [`Cluster::launch`] with a base server configuration (its
-    /// `cluster` field is overwritten per node) and an explicit
-    /// virtual-node count.
+    /// [`Cluster::launch`] with a base server configuration and an
+    /// explicit virtual-node count. Each node's cluster `member` is set
+    /// to its ring name; the base's peer tenant and token (see
+    /// [`ClusterConfig::with_peer_auth`]) are kept, so nodes with a
+    /// closed tenant set can authenticate forwards to each other.
     pub fn launch_with(
         services: Vec<Arc<RecoveryService>>,
         base: NetServerConfig,
@@ -157,10 +159,15 @@ impl Cluster {
         let mut nodes = Vec::with_capacity(services.len());
         for (i, service) in services.into_iter().enumerate() {
             let name = format!("node-{i}");
+            let mut cluster = base
+                .cluster
+                .clone()
+                .unwrap_or_else(|| ClusterConfig::new(""));
+            cluster.member = name.clone();
             let config = base
                 .clone()
                 .with_server_name(name.clone())
-                .with_cluster(ClusterConfig::new(name.clone()));
+                .with_cluster(cluster);
             let server = NetServer::bind(Arc::clone(&service), "127.0.0.1:0", config)?;
             nodes.push(ClusterNode {
                 name,

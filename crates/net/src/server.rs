@@ -39,6 +39,14 @@
 //!   [`BufPool`] — the hot frames (Event, SubmitAck, cache-hit Done)
 //!   allocate nothing in steady state — and partial writes resume from
 //!   a queue of whole frames flushed with `write_vectored`.
+//! * **One job table per connection.** Every id a connection may
+//!   `Watch` or `Cancel` lives in one map, local or proxied. A local
+//!   job's id is the service's [`JobId`]; a submit this cluster node
+//!   forwards to the fingerprint's owner gets an id the edge mints from
+//!   the upper half of the id space, so the two never collide, and the
+//!   owner's own id stays inside the forwarder. Watching either kind is
+//!   the same streaming state, and an entry leaves the table once its
+//!   terminal frame is queued.
 //! * **Graceful drain.** [`NetServer::shutdown`] stops admitting new
 //!   submissions (they get [`ErrorKind::ShuttingDown`]), waits on the
 //!   service's idle condvar, then waits for watchers to collect their
@@ -268,11 +276,17 @@ const MAX_PENDING_FORWARDS: usize = 1024;
 const MAX_POOLED_PEER_CLIENTS: usize = 4;
 /// Events buffered for a proxied job before its Watch arrives.
 const MAX_BUFFERED_FORWARD_EVENTS: usize = 256;
+/// Proxied job ids are minted by the edge from the upper half of the id
+/// space (`PROXIED_JOB_IDS | seq`); service [`JobId`]s count up from 0,
+/// so the two can never collide in one connection's job table.
+const PROXIED_JOB_IDS: u64 = 1 << 63;
 
 /// A misrouted submission handed to the forwarder pool: proxy it to the
-/// owning node and relay the answer back to connection `token`.
+/// owning node and relay the answer back to connection `token` under
+/// the edge-minted id `job`.
 struct ForwardTask {
     token: u64,
+    job: u64,
     trace: VerifiedTrace,
     priority: Priority,
     deadline_ms: Option<u64>,
@@ -285,23 +299,13 @@ struct ForwardTask {
 }
 
 /// What a forwarder learned about a proxied job, relayed to the
-/// originating connection by the reactor.
+/// originating connection by the reactor. The owner's own job id never
+/// leaves the forwarder: the client only ever sees the edge-minted id.
 enum ForwardOutcome {
-    /// The owner accepted: `job` is the *owner's* job id, which the
-    /// proxying node surfaces verbatim (ids are connection-scoped, so
-    /// there is no collision with locally issued ids... they live in
-    /// the same per-connection namespace, tracked in `Conn::forwarded`).
-    Ack {
-        job: u64,
-    },
-    Event {
-        job: u64,
-        event: WireEvent,
-    },
-    Done {
-        job: u64,
-        result: WireResult,
-    },
+    /// The owner accepted: the client gets its `SubmitAck`.
+    Ack,
+    Event(WireEvent),
+    Done(WireResult),
     /// The owner refused with a typed error (queue full, wrong node
     /// after a ring change, ...): relayed verbatim.
     Refused {
@@ -317,6 +321,7 @@ enum ForwardOutcome {
 
 struct ForwardUpdate {
     token: u64,
+    job: u64,
     outcome: ForwardOutcome,
 }
 
@@ -380,8 +385,13 @@ impl ForwardHub {
         self.task_cv.notify_all();
     }
 
-    fn post(&self, token: u64, outcome: ForwardOutcome) {
-        lock_unpoisoned(&self.wake.forward_updates).push(ForwardUpdate { token, outcome });
+    fn post(&self, task: &ForwardTask, outcome: ForwardOutcome) {
+        let update = ForwardUpdate {
+            token: task.token,
+            job: task.job,
+            outcome,
+        };
+        lock_unpoisoned(&self.wake.forward_updates).push(update);
         self.wake.waker.wake();
     }
 
@@ -430,13 +440,9 @@ impl ForwardHub {
         let mut client = match self.take_client(&task.owner_addr) {
             Ok(client) => client,
             Err(e) => {
-                self.post(
-                    task.token,
-                    ForwardOutcome::Failed {
-                        owner: task.owner_addr.clone(),
-                        detail: format!("owner {} unreachable: {e}", task.owner_name),
-                    },
-                );
+                let detail = format!("owner {} unreachable: {e}", task.owner_name);
+                let owner = task.owner_addr.clone();
+                self.post(&task, ForwardOutcome::Failed { owner, detail });
                 return;
             }
         };
@@ -457,53 +463,33 @@ impl ForwardHub {
         let job = match submitted {
             Ok(job) => job,
             Err(ClientError::Refused { kind, detail }) => {
-                self.post(task.token, ForwardOutcome::Refused { kind, detail });
+                self.post(&task, ForwardOutcome::Refused { kind, detail });
                 return;
             }
             Err(e) => {
-                self.post(
-                    task.token,
-                    ForwardOutcome::Failed {
-                        owner: task.owner_addr.clone(),
-                        detail: format!("forwarding to {} failed: {e}", task.owner_name),
-                    },
-                );
+                let detail = format!("forwarding to {} failed: {e}", task.owner_name);
+                let owner = task.owner_addr.clone();
+                self.post(&task, ForwardOutcome::Failed { owner, detail });
                 return;
             }
         };
-        self.post(task.token, ForwardOutcome::Ack { job: job.id });
+        self.post(&task, ForwardOutcome::Ack);
         let waited = client.wait_with(job, |event| {
-            self.post(
-                task.token,
-                ForwardOutcome::Event {
-                    job: job.id,
-                    event: event.clone(),
-                },
-            );
+            self.post(&task, ForwardOutcome::Event(event.clone()));
         });
         match waited {
             Ok(result) => {
-                self.post(
-                    task.token,
-                    ForwardOutcome::Done {
-                        job: job.id,
-                        result,
-                    },
-                );
+                self.post(&task, ForwardOutcome::Done(result));
                 self.put_client(task.owner_addr, client);
             }
             Err(e) => {
                 // The ack is already out, so the originating client is
                 // owed a terminal answer for this job id: a typed job
                 // error, not a dangling watch.
+                let message = format!("proxied job lost on owner {}: {e}", task.owner_name);
                 self.post(
-                    task.token,
-                    ForwardOutcome::Done {
-                        job: job.id,
-                        result: Err(WireJobError::Recovery {
-                            message: format!("proxied job lost on owner {}: {e}", task.owner_name),
-                        }),
-                    },
+                    &task,
+                    ForwardOutcome::Done(Err(WireJobError::Recovery { message })),
                 );
             }
         }
@@ -717,21 +703,33 @@ fn conn_token(generation: u32, idx: usize) -> u64 {
     ((generation as u64) << 32) | idx as u64
 }
 
-/// What a connection is doing, beyond request/response.
-struct WatchState {
-    id: JobId,
-    rx: mpsc::Receiver<JobEvent>,
+/// A job this connection may watch or cancel, keyed in `Conn::jobs` by
+/// the id its `SubmitAck` carried. The entry leaves the table once the
+/// job's terminal frame is queued.
+enum JobEntry {
+    /// Submitted to this node's service: the key is its [`JobId`].
+    Local,
+    /// Proxied to its owning cluster node under an edge-minted id (see
+    /// [`PROXIED_JOB_IDS`]). Events and the result stream in from a
+    /// forwarder thread and buffer here until a watch drains them
+    /// (events bounded, oldest dropped — they are advisory; the result
+    /// is what matters).
+    Proxied {
+        events: VecDeque<WireEvent>,
+        result: Option<WireResult>,
+    },
 }
 
-/// A job this connection submitted that is being proxied to its owning
-/// cluster node. Events and the result stream in from a forwarder
-/// thread; until the client Watches, they buffer here (events bounded,
-/// oldest dropped — they are advisory; the result is what matters).
-#[derive(Default)]
-struct ForwardedJob {
-    events: VecDeque<WireEvent>,
-    result: Option<WireResult>,
-    watching: bool,
+/// The job a watching connection streams: a local job drains its
+/// service fanout, a proxied one its [`JobEntry::Proxied`] buffer.
+enum WatchState {
+    Local {
+        id: JobId,
+        rx: mpsc::Receiver<JobEvent>,
+    },
+    Proxied {
+        job: u64,
+    },
 }
 
 /// One connection's state machine: `authed == false` is the handshake
@@ -742,12 +740,11 @@ struct Conn {
     token: u64,
     authed: bool,
     tenant: String,
-    /// Job ids issued on this connection — the only ids it may watch or
-    /// cancel (tenancy isolation at the wire edge).
-    jobs: HashSet<u64>,
-    /// Jobs proxied to their owning cluster node on this connection's
-    /// behalf, keyed by the owner's job id.
-    forwarded: HashMap<u64, ForwardedJob>,
+    /// Unfinished jobs submitted on this connection — the only ids it
+    /// may watch or cancel (tenancy isolation at the wire edge).
+    jobs: HashMap<u64, JobEntry>,
+    /// Proxied job ids minted so far (the low half of the next one).
+    proxied_minted: u64,
     /// In-progress chunked uploads.
     assemblies: HashMap<Fingerprint, TraceAssembler>,
     /// Uploads already refused with a typed error. Later chunks of a
@@ -788,8 +785,8 @@ impl Conn {
             token,
             authed: false,
             tenant: String::new(),
-            jobs: HashSet::new(),
-            forwarded: HashMap::new(),
+            jobs: HashMap::new(),
+            proxied_minted: 0,
             assemblies: HashMap::new(),
             rejected_uploads: HashSet::new(),
             rbuf,
@@ -1136,42 +1133,39 @@ impl Reactor {
         let config = &shared.config;
         let pool = &mut self.pool;
         let conn = self.conns[idx].as_mut().expect("resolved");
-        match update.outcome {
-            ForwardOutcome::Ack { job } => {
-                conn.forwarded.insert(job, ForwardedJob::default());
+        let job = update.job;
+        let entry = conn.jobs.get_mut(&job);
+        match (update.outcome, entry) {
+            (ForwardOutcome::Ack, _) => {
+                let entry = JobEntry::Proxied {
+                    events: VecDeque::new(),
+                    result: None,
+                };
+                conn.jobs.insert(job, entry);
                 conn.queue(pool, config, &Message::SubmitAck { job });
             }
-            ForwardOutcome::Event { job, event } => {
-                if let Some(fwd) = conn.forwarded.get_mut(&job) {
-                    if fwd.watching {
-                        conn.queue(pool, config, &Message::Event { job, event });
-                    } else {
-                        if fwd.events.len() >= MAX_BUFFERED_FORWARD_EVENTS {
-                            fwd.events.pop_front();
-                        }
-                        fwd.events.push_back(event);
-                    }
+            (ForwardOutcome::Event(event), Some(JobEntry::Proxied { events, .. })) => {
+                if events.len() >= MAX_BUFFERED_FORWARD_EVENTS {
+                    events.pop_front();
                 }
+                events.push_back(event);
             }
-            ForwardOutcome::Done { job, result } => {
-                if let Some(fwd) = conn.forwarded.get_mut(&job) {
-                    if fwd.watching {
-                        conn.forwarded.remove(&job);
-                        conn.queue(pool, config, &Message::Done { job, result });
-                    } else {
-                        fwd.result = Some(result);
-                    }
-                }
+            (ForwardOutcome::Done(done), Some(JobEntry::Proxied { result, .. })) => {
+                *result = Some(done);
             }
-            ForwardOutcome::Refused { kind, detail } => {
+            (ForwardOutcome::Refused { kind, detail }, _) => {
                 shared.forward_hub().forward_errors.inc();
                 conn.queue_error(pool, config, kind, detail);
             }
-            ForwardOutcome::Failed { owner, detail } => {
+            (ForwardOutcome::Failed { owner, detail }, _) => {
                 shared.forward_hub().forward_errors.inc();
                 conn.queue_error(pool, config, ErrorKind::WrongNode { owner }, detail);
             }
+            // No proxied entry under this id: nothing to file.
+            _ => {}
         }
+        // A watch on this job drains what was just filed.
+        self.drive(idx);
         self.finish(idx);
     }
 
@@ -1331,11 +1325,11 @@ impl Reactor {
                 .blocked_since
                 .is_some_and(|since| since.elapsed() >= WRITE_TIMEOUT);
             let idle = conn.watch.is_none()
-                // A forwarded job legitimately carries no local traffic
-                // while the owning node solves it.
-                && conn.forwarded.is_empty()
                 && conn.outbox.is_empty()
-                && conn.last_activity.elapsed() >= READ_TIMEOUT;
+                && conn.last_activity.elapsed() >= READ_TIMEOUT
+                // A proxied job legitimately carries no local traffic
+                // while the owning node solves it.
+                && !conn.jobs.values().any(|e| matches!(e, JobEntry::Proxied { .. }));
             if stalled || idle {
                 self.close_conn(idx);
             }
@@ -1347,7 +1341,7 @@ impl Reactor {
             .conns
             .iter()
             .flatten()
-            .filter(|c| c.watch.is_some() || c.forwarded.values().any(|f| f.watching))
+            .filter(|c| c.watch.is_some())
             .count();
         let unflushed: usize = self.conns.iter().flatten().map(|c| c.out_bytes).sum();
         *lock_unpoisoned(&self.shared.drain_gauge) = (watches, unflushed);
@@ -1557,9 +1551,12 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                                 Some(TraceId(trace_id)),
                                 format!("{fingerprint} to {owner_name} at {owner_addr}"),
                             );
+                            let job = PROXIED_JOB_IDS | conn.proxied_minted;
+                            conn.proxied_minted += 1;
                             let hub = shared.forward_hub();
                             let queued = hub.submit(ForwardTask {
                                 token: conn.token,
+                                job,
                                 trace,
                                 priority,
                                 deadline_ms,
@@ -1668,45 +1665,34 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 Some(trace_id),
             );
         }
-        Message::Watch { job } => {
-            if conn.jobs.contains(&job) {
-                start_watch(conn, pool, shared, JobId(job));
-            } else if conn.forwarded.contains_key(&job) {
-                start_forward_watch(conn, pool, config, job);
-            } else {
-                conn.queue_error(
-                    pool,
-                    config,
-                    ErrorKind::UnknownJob { job },
-                    "not a job submitted on this connection",
-                );
-            }
-        }
+        Message::Watch { job } => match conn.jobs.get(&job) {
+            Some(JobEntry::Local) => start_watch(conn, pool, shared, JobId(job)),
+            // The drive loop pumps the entry's buffer right away.
+            Some(JobEntry::Proxied { .. }) => conn.watch = Some(WatchState::Proxied { job }),
+            None => conn.queue_error(
+                pool,
+                config,
+                ErrorKind::UnknownJob { job },
+                "not an unfinished job submitted on this connection",
+            ),
+        },
         Message::Cancel { job } => {
-            if conn.forwarded.contains_key(&job) {
+            let cancelled = match conn.jobs.get(&job) {
+                Some(JobEntry::Local) => shared.service.cancel(JobId(job)),
                 // Remote cancellation is not proxied: the owner solves
                 // on (dedup makes the work reusable anyway). Honest
                 // answer: not cancelled.
-                conn.queue(
-                    pool,
-                    config,
-                    &Message::CancelAck {
-                        job,
-                        cancelled: false,
-                    },
-                );
-                return;
-            }
-            if !conn.jobs.contains(&job) {
-                conn.queue_error(
-                    pool,
-                    config,
-                    ErrorKind::UnknownJob { job },
-                    "not a job submitted on this connection",
-                );
-                return;
-            }
-            let cancelled = shared.service.cancel(JobId(job));
+                Some(JobEntry::Proxied { .. }) => false,
+                None => {
+                    conn.queue_error(
+                        pool,
+                        config,
+                        ErrorKind::UnknownJob { job },
+                        "not an unfinished job submitted on this connection",
+                    );
+                    return;
+                }
+            };
             conn.queue(pool, config, &Message::CancelAck { job, cancelled });
         }
         Message::QueryFingerprint { fingerprint } => {
@@ -1853,7 +1839,7 @@ fn submit_local(
     // typed error frame, never a dropped socket.
     match shared.service.submit(request) {
         Ok(JobId(job)) => {
-            conn.jobs.insert(job);
+            conn.jobs.insert(job, JobEntry::Local);
             conn.queue(pool, config, &Message::SubmitAck { job });
         }
         Err(rejected) => {
@@ -1864,28 +1850,6 @@ fn submit_local(
                 rejected.to_string(),
             );
         }
-    }
-}
-
-/// Begins streaming a proxied job's events: flushes whatever the
-/// forwarder already relayed, then marks the entry live so further
-/// updates stream straight through.
-fn start_forward_watch(conn: &mut Conn, pool: &mut BufPool, config: &NetServerConfig, job: u64) {
-    let Some(fwd) = conn.forwarded.get_mut(&job) else {
-        return;
-    };
-    fwd.watching = true;
-    let events: Vec<WireEvent> = fwd.events.drain(..).collect();
-    let result = fwd.result.take();
-    for event in events {
-        conn.queue(pool, config, &Message::Event { job, event });
-        if conn.overflowed {
-            return;
-        }
-    }
-    if let Some(result) = result {
-        conn.forwarded.remove(&job);
-        conn.queue(pool, config, &Message::Done { job, result });
     }
 }
 
@@ -1906,11 +1870,12 @@ fn start_watch(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, id: Jo
         }),
     );
     if let Some(result) = shared.service.result(id) {
-        queue_done(conn, pool, &shared.config, id, &result);
+        queue_done(conn, pool, &shared.config, id.0, wire_result(&result));
         return;
     }
     let Some(rx) = rx else {
         // Evicted or never known; result() above also found nothing.
+        conn.jobs.remove(&id.0);
         conn.queue_error(
             pool,
             &shared.config,
@@ -1919,21 +1884,24 @@ fn start_watch(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, id: Jo
         );
         return;
     };
-    conn.watch = Some(WatchState { id, rx });
+    conn.watch = Some(WatchState::Local { id, rx });
     // The caller's drive loop pumps immediately, catching events (or a
     // terminal result) that landed while we subscribed.
 }
 
 /// Drains ready events for an active watch into the write queue and ends
-/// the watch with the Done frame once the job is terminal.
+/// the watch with the terminal frame once the job is done: a local job
+/// drains its service fanout, a proxied job its buffered entry.
 fn pump_watch(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>) {
-    let Some(id) = conn.watch.as_ref().map(|w| w.id) else {
-        return;
+    let id = match conn.watch {
+        Some(WatchState::Local { id, .. }) => id,
+        Some(WatchState::Proxied { job }) => return pump_proxied(conn, pool, &shared.config, job),
+        None => return,
     };
     loop {
         let received = match conn.watch.as_mut() {
-            Some(watch) => watch.rx.try_recv(),
-            None => return,
+            Some(WatchState::Local { rx, .. }) => rx.try_recv(),
+            _ => return,
         };
         match received {
             Ok(event) => {
@@ -1954,8 +1922,11 @@ fn pump_watch(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>) {
                 // the retention window (or the service stopped). One
                 // final result check, then a typed answer either way.
                 conn.watch = None;
+                conn.jobs.remove(&id.0);
                 match shared.service.result(id) {
-                    Some(result) => queue_done(conn, pool, &shared.config, id, &result),
+                    Some(result) => {
+                        queue_done(conn, pool, &shared.config, id.0, wire_result(&result))
+                    }
                     None => conn.queue_error(
                         pool,
                         &shared.config,
@@ -1970,34 +1941,54 @@ fn pump_watch(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>) {
     // Result is set before the terminal event publishes (same lock), so
     // when the last notify fired this check concludes the watch.
     if let Some(result) = shared.service.result(id) {
-        conn.watch = None;
-        queue_done(conn, pool, &shared.config, id, &result);
+        queue_done(conn, pool, &shared.config, id.0, wire_result(&result));
     }
 }
 
+/// Streams a proxied job's buffered events, then its Done once the
+/// forwarder has filed the result.
+fn pump_proxied(conn: &mut Conn, pool: &mut BufPool, config: &NetServerConfig, job: u64) {
+    let Some(JobEntry::Proxied { events, result }) = conn.jobs.get_mut(&job) else {
+        return;
+    };
+    let events = std::mem::take(events);
+    let result = result.take();
+    for event in events {
+        conn.queue(pool, config, &Message::Event { job, event });
+        if conn.overflowed {
+            return; // queue() already tore the watch down
+        }
+    }
+    if let Some(result) = result {
+        queue_done(conn, pool, config, job, result);
+    }
+}
+
+/// Queues a job's Done frame and retires the job: the watch ends and the
+/// id leaves the job table, so a later Watch or Cancel of it is an
+/// `UnknownJob`.
 fn queue_done(
     conn: &mut Conn,
     pool: &mut BufPool,
     config: &NetServerConfig,
-    id: JobId,
-    result: &beer_service::JobResult,
+    job: u64,
+    result: WireResult,
 ) {
-    let wire_result: WireResult = match result {
+    conn.watch = None;
+    conn.jobs.remove(&job);
+    conn.queue(pool, config, &Message::Done { job, result });
+}
+
+/// A service job's result as it crosses the wire.
+fn wire_result(result: &beer_service::JobResult) -> WireResult {
+    match result {
         Ok(output) => Ok(WireOutput {
             outcome: WireOutcome::from_outcome(&output.outcome),
             from_cache: output.from_cache,
             coalesced_into: output.coalesced_into.map(|JobId(j)| j),
         }),
         Err(e) => Err(WireJobError::from_error(e)),
-    };
-    conn.queue(
-        pool,
-        config,
-        &Message::Done {
-            job: id.0,
-            result: wire_result,
-        },
-    );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -584,19 +584,14 @@ impl ServiceObs {
     }
 }
 
-enum InputSlot {
-    Trace(Arc<ProfileTrace>),
-    Source {
-        label: String,
-        source: Option<Box<dyn ProfileSource + Send>>,
-    },
-}
-
 struct Job {
     tenant: String,
     priority: Priority,
     state: JobState,
-    input: InputSlot,
+    /// What the job runs: taken by the worker at dispatch, dropped at
+    /// finalize for jobs that never dispatch (cache hits, coalesced
+    /// waiters), so no terminal job keeps its trace alive.
+    input: Option<RunInput>,
     fingerprint: Option<Fingerprint>,
     cancel: CancelToken,
     deadline_at: Option<Instant>,
@@ -762,7 +757,7 @@ impl RecoveryService {
                 let trace = Arc::clone(verified.trace());
                 let patterns = trace.patterns.len();
                 (
-                    InputSlot::Trace(trace),
+                    RunInput::Trace(trace),
                     Some(verified.fingerprint()),
                     patterns,
                 )
@@ -777,14 +772,7 @@ impl RecoveryService {
                     recovery.scheduled_patterns(k)
                 }))
                 .map_err(|_| Rejected::Unschedulable { k })?;
-                (
-                    InputSlot::Source {
-                        label,
-                        source: Some(source),
-                    },
-                    None,
-                    patterns,
-                )
+                (RunInput::Source { label, source }, None, patterns)
             }
         };
         if patterns > self.inner.max_patterns {
@@ -832,7 +820,7 @@ impl RecoveryService {
                 tenant: tenant.clone(),
                 priority,
                 state: JobState::Queued,
-                input: slot,
+                input: Some(slot),
                 fingerprint,
                 cancel: CancelToken::new(),
                 deadline_at: deadline.map(|d| Instant::now() + d),
@@ -1208,6 +1196,7 @@ impl Inner {
         }
         self.obs.moved(job.state, new_state);
         job.state = new_state;
+        job.input = None;
         job.result = Some(result.clone());
         let waiters = std::mem::take(&mut job.waiters);
         let fingerprint = job.fingerprint;
@@ -1299,7 +1288,7 @@ impl Inner {
     }
 }
 
-/// What a worker carries out of the lock to run a job.
+/// What a job runs; the worker carries it out of the lock.
 enum RunInput {
     Trace(Arc<ProfileTrace>),
     Source {
@@ -1352,13 +1341,7 @@ fn worker_loop(inner: &Inner) {
         let fingerprint = job.fingerprint;
         let trace_id = job.trace_id;
         let queue_wait = job.enqueued_at.elapsed();
-        let input = match &mut job.input {
-            InputSlot::Trace(trace) => RunInput::Trace(Arc::clone(trace)),
-            InputSlot::Source { label, source } => RunInput::Source {
-                label: label.clone(),
-                source: source.take().expect("sources run once"),
-            },
-        };
+        let input = job.input.take().expect("a queued job holds its input");
         let obs = Arc::clone(&inner.obs);
         obs.record(&obs.queue_wait, queue_wait);
         obs.flight(
@@ -1493,6 +1476,7 @@ mod tests {
     use beer_core::collect::CollectionPlan;
     use beer_core::engine::{AnalyticBackend, EngineError};
     use beer_core::pattern::{ChargedSet, PatternSet};
+    use beer_core::trace::VerifiedTrace;
     use beer_core::MiscorrectionProfile;
     use beer_ecc::hamming;
     use std::time::Duration;
@@ -1650,6 +1634,27 @@ mod tests {
         });
         service.shutdown();
         watcher.join().expect("gauges matched at shutdown");
+    }
+
+    #[test]
+    fn finished_jobs_release_their_trace() {
+        let service = RecoveryService::start(ServiceConfig::new().with_workers(1)).expect("start");
+        let verified = VerifiedTrace::from(sample_trace());
+        let held = Arc::clone(verified.trace());
+        // `verified` and `held`: the only references the test owns.
+        let own = Arc::strong_count(&held);
+        for (run, from_cache) in [("solved", false), ("cache hit", true)] {
+            let id = service
+                .submit(JobRequest::shared_trace("t", verified.clone()))
+                .expect("admitted");
+            let output = service.wait(id).expect("solves");
+            assert_eq!(output.from_cache, from_cache, "{run}");
+            assert_eq!(
+                Arc::strong_count(&held),
+                own,
+                "a {run} job still holds its trace after finishing"
+            );
+        }
     }
 
     #[test]

@@ -56,18 +56,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let owned_by_0 = trace_owned_by(cluster.ring(), "node-0");
     let owned_by_1 = trace_owned_by(cluster.ring(), "node-1");
 
-    let mut direct = Client::connect(cluster.addrs()[1].clone(), "acme", "")?;
-    let job = direct.submit(&owned_by_1)?;
-    let _ = direct.wait(job)?;
+    // One connection to node-1 carries both kinds of job: node-1 solves
+    // the first itself and proxies the second, under an id of its own.
+    let mut client = Client::connect(cluster.addrs()[1].clone(), "acme", "")?;
+    let job = client.submit(&owned_by_1)?;
+    let _ = client.wait(job)?;
 
-    let mut forwarder = Client::connect(cluster.addrs()[1].clone(), "acme", "")?;
-    forwarder.upload_trace(&owned_by_0)?;
-    let forwarded = forwarder.submit(&owned_by_0)?;
+    client.upload_trace(&owned_by_0)?;
+    let forwarded = client.submit(&owned_by_0)?;
     let trace_id = forwarded.trace_id;
-    let _ = forwarder.wait(forwarded)?;
+    let _ = client.wait(forwarded)?;
     // A repeat of the same profile: answered from the owner's cache.
-    let repeat = forwarder.submit(&owned_by_0)?;
-    let _ = forwarder.wait(repeat)?;
+    let repeat = client.submit(&owned_by_0)?;
+    let _ = client.wait(repeat)?;
     println!(
         "workload done; the forwarded job's trace id is {trace_id:032x} — \
          look for it on BOTH nodes below\n"

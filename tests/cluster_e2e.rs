@@ -6,10 +6,11 @@
 //! and duplicate submissions from clients on *different* nodes coalesce
 //! onto one solve with both receiving the terminal result. One
 //! connection may hold local and proxied jobs at once, and each id
-//! answers with its own profile's result.
+//! answers with its own profile's result; nodes with closed tenant sets
+//! forward under the peer credentials the cluster was launched with.
 
-use beer::cluster::{Cluster, ClusterClient};
-use beer::net::{Client, ClientError, ErrorKind, Ring, RingMember};
+use beer::cluster::{Cluster, ClusterClient, DEFAULT_VNODES};
+use beer::net::{Client, ClientError, ClusterConfig, ErrorKind, NetServerConfig, Ring, RingMember};
 use beer::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -299,9 +300,46 @@ fn local_and_proxied_jobs_on_one_connection_keep_their_own_results() {
             other => panic!("expected a unique registry record, got {other:?}"),
         }
     }
+    assert!(
+        proxied_job.id >= 1 << 63,
+        "proxied ids come from the upper half of the id space, got {}",
+        proxied_job.id
+    );
     assert_ne!(
         local_job.id, proxied_job.id,
         "a proxied job must not share an id with a local job on one connection"
     );
+    cluster.shutdown(Duration::from_secs(2));
+}
+
+/// Peer credentials given to `Cluster::launch_with` reach every node:
+/// two nodes whose closed tenant sets include the peer tenant forward a
+/// staged submit and solve it on the owner.
+#[test]
+fn closed_tenant_nodes_forward_with_the_configured_peer_auth() {
+    let tenants = [("alice", "alice-token"), ("peers", "peer-token")];
+    let services = (0..2)
+        .map(|_| {
+            let config = ServiceConfig::new().with_workers(2).with_tenants(tenants);
+            Arc::new(RecoveryService::start(config).expect("start service"))
+        })
+        .collect();
+    let base = NetServerConfig::new()
+        .with_cluster(ClusterConfig::new("any").with_peer_auth("peers", "peer-token"));
+    let cluster = Cluster::launch_with(services, base, DEFAULT_VNODES).expect("launch cluster");
+    let trace = trace_owned_by(cluster.ring(), "node-1");
+
+    let mut client =
+        Client::connect(cluster.addrs()[0].clone(), "alice", "alice-token").expect("connect");
+    client.upload_trace(&trace).expect("upload to non-owner");
+    let job = client.submit(&trace).expect("forwarded submit acks");
+    unique_code(client.wait(job).expect("forwarded watch completes"));
+
+    let owner = cluster.nodes()[1].service().stats();
+    let proxy = cluster.nodes()[0].service().stats();
+    assert_eq!(owner.submitted, 1, "the owner solves the job");
+    assert_eq!(proxy.submitted, 0);
+    assert_eq!(proxy.forwarded_jobs, 1);
+    assert_eq!(proxy.forward_errors, 0, "the owner accepts the peer tenant");
     cluster.shutdown(Duration::from_secs(2));
 }

@@ -1,7 +1,7 @@
 //! Reactor-edge behaviors the blocking suites cannot see:
-//! readiness-driven hangup detection, bounded write queues shedding slow
-//! readers, typed admission-control refusals, and event-driven drain
-//! latency. Connection scaling without threads has its own binary,
+//! readiness-driven hangup detection, finished jobs leaving the job
+//! table, bounded write queues shedding slow readers, typed
+//! admission-control refusals, and event-driven drain latency. Connection scaling without threads has its own binary,
 //! `net_reactor_threads`.
 
 mod net_support;
@@ -61,6 +61,45 @@ fn closed_watcher_releases_slot_within_one_tick() {
         output.outcome.unique_code().expect("unique"),
         &secret
     ));
+    server.shutdown(Duration::from_secs(5));
+}
+
+/// A job leaves its connection's job table once its Done frame is
+/// queued: the table stays bounded on a long-lived connection, and a
+/// later Watch or Cancel of the finished id is a typed `UnknownJob`.
+#[test]
+fn finished_job_leaves_the_job_table() {
+    let trace = record_trace(&hamming::shortened(8));
+    let service =
+        Arc::new(RecoveryService::start(ServiceConfig::new().with_workers(1)).expect("start"));
+    let server =
+        NetServer::bind(Arc::clone(&service), "127.0.0.1:0", NetServerConfig::new()).expect("bind");
+
+    let mut stream = handshake(&server.local_addr().to_string(), "alice");
+    let fingerprint = upload(&mut stream, &trace);
+    let job = submit(&mut stream, fingerprint);
+    write_message(&mut stream, &Message::Watch { job }).expect("watch");
+    loop {
+        match read_message(&mut stream, MAX_FRAME).expect("watch answered") {
+            Message::Event { .. } => {}
+            Message::Done { job: done, result } => {
+                assert_eq!(done, job);
+                assert!(result.is_ok(), "the job solves: {result:?}");
+                break;
+            }
+            other => panic!("expected Event or Done, got {other:?}"),
+        }
+    }
+    for again in [Message::Watch { job }, Message::Cancel { job }] {
+        write_message(&mut stream, &again).expect("send");
+        match read_message(&mut stream, MAX_FRAME).expect("answered") {
+            Message::Error {
+                kind: ErrorKind::UnknownJob { job: unknown },
+                ..
+            } => assert_eq!(unknown, job),
+            other => panic!("expected UnknownJob after Done for {again:?}, got {other:?}"),
+        }
+    }
     server.shutdown(Duration::from_secs(5));
 }
 
